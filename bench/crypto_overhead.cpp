@@ -125,7 +125,7 @@ void BM_DhKeyAgreement(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::agree_pairwise_seeds(parties, seed++));
   }
 }
-BENCHMARK(BM_DhKeyAgreement)->Arg(4)->Arg(16);
+BENCHMARK(BM_DhKeyAgreement)->Arg(4)->Arg(16)->Arg(128);
 
 // ------------------------------------------------- ledger guardrail cell
 

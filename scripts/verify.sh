@@ -27,7 +27,7 @@ cmake -B build-asan -S . -DPPML_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$jobs" --target mapreduce_test chaos_test \
   dropout_recovery_test obs_test qp_test linalg_test microkernel_test \
   consensus_engine_test async_consensus_test grouped_ring_test serving_test \
-  privacy_ledger_test
+  privacy_ledger_test crypto_test
 # mapreduce_test covers the out-of-core blockstore: spill/mmap/LRU paths
 # hand out spans into unlinked mapped files — ASan watches the lifetimes.
 ./build-asan/tests/mapreduce_test
@@ -51,6 +51,10 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/microkernel_test
 # ledger's lock-free slot table and the check-failure flight dump run under
 # ASan/UBSan exactly where a racy or out-of-bounds probe would hide.
 ./build-asan/tests/privacy_ledger_test
+# crypto_test drives the u128 modular arithmetic (single-multiply mulmod
+# below 2^64, bit-serial above) against in-test oracles — UBSan watches
+# the wide shifts and products.
+./build-asan/tests/crypto_test
 
 # Bench smoke: skip the timed google-benchmark cases (empty filter), run
 # only the cache-budget sweep, and require a parseable report with the

@@ -3,7 +3,8 @@
 // CLI evaluation to query serving (docs/serving.md).
 //
 // The per-query cost of the naive loop is brutal: one secure-sum session
-// (an O(M^2) DH key agreement), one protocol round and — for kernel
+// (a DH key agreement with M(M-1)/2 exponentiations — cheap each, but
+// O(M^2) per session), one protocol round and — for kernel
 // models — one kernel-block evaluation PER QUERY. PredictionServer
 // amortizes all three:
 //

@@ -33,7 +33,9 @@ DhGroup DhGroup::standard_group() {
 DhKeyPair dh_keygen(const DhGroup& group, Xoshiro256& rng) {
   PPML_CHECK(group.p > 3 && group.q > 1 && group.g > 1, "dh_keygen: bad group");
   DhKeyPair pair;
-  // Uniform secret in [1, q-1] by rejection.
+  // Secret in [1, q-1]: a 64-bit draw reduced mod q, redrawn only on 0.
+  // The reduction is slightly biased toward small residues (2^64 is not a
+  // multiple of q); every pairwise seed derives from this exact sampling.
   do {
     pair.secret = rng.next() % group.q;
   } while (pair.secret == 0);
@@ -42,13 +44,17 @@ DhKeyPair dh_keygen(const DhGroup& group, Xoshiro256& rng) {
   return pair;
 }
 
+void dh_check_public(const DhGroup& group, std::uint64_t public_value) {
+  PPML_CHECK(public_value > 1 && public_value < group.p - 1,
+             "dh_check_public: peer public value out of range");
+  // Subgroup check: element must have order q (i.e., be a QR).
+  PPML_CHECK(powmod(public_value, group.q, group.p) == 1,
+             "dh_check_public: peer value not in the prime-order subgroup");
+}
+
 std::uint64_t dh_shared_secret(const DhGroup& group, std::uint64_t my_secret,
                                std::uint64_t peer_public) {
-  PPML_CHECK(peer_public > 1 && peer_public < group.p - 1,
-             "dh_shared_secret: peer public value out of range");
-  // Subgroup check: element must have order q (i.e., be a QR).
-  PPML_CHECK(powmod(peer_public, group.q, group.p) == 1,
-             "dh_shared_secret: peer value not in the prime-order subgroup");
+  dh_check_public(group, peer_public);
   return static_cast<std::uint64_t>(powmod(peer_public, my_secret, group.p));
 }
 

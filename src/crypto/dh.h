@@ -35,9 +35,14 @@ struct DhKeyPair {
 /// Sample a key pair.
 DhKeyPair dh_keygen(const DhGroup& group, Xoshiro256& rng);
 
+/// Validate a peer's public value: it must lie in (1, p-1) and have order
+/// q (be a quadratic residue). Throws InvalidArgument otherwise — the
+/// small-subgroup confinement guard. Costs one exponentiation, so callers
+/// that pair one public value with many secrets validate it once.
+void dh_check_public(const DhGroup& group, std::uint64_t public_value);
+
 /// Shared secret g^{xy} mod p from my secret and the peer's public value.
-/// Validates the peer value is in the group; throws InvalidArgument if not
-/// (small-subgroup confinement guard).
+/// Validates the peer value with dh_check_public first.
 std::uint64_t dh_shared_secret(const DhGroup& group, std::uint64_t my_secret,
                                std::uint64_t peer_public);
 

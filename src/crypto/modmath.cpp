@@ -6,12 +6,27 @@
 
 namespace ppml::crypto {
 
+namespace {
+
+/// (a * b) mod m for reduced a, b < m < 2^64: the product is below 2^128,
+/// so the u128 multiply is exact.
+std::uint64_t mulmod_u64(std::uint64_t a, std::uint64_t b, std::uint64_t m) {
+  return static_cast<std::uint64_t>(static_cast<u128>(a) * b % m);
+}
+
+}  // namespace
+
 u128 mulmod(u128 a, u128 b, u128 m) {
   PPML_CHECK(m != 0, "mulmod: zero modulus");
   PPML_CHECK(m >> 126 == 0, "mulmod: modulus must be < 2^126");
   a %= m;
   b %= m;
-  // Fast path: both operands fit in 64 bits — a single 128-bit multiply.
+  if ((m >> 64) == 0)
+    return mulmod_u64(static_cast<std::uint64_t>(a),
+                      static_cast<std::uint64_t>(b),
+                      static_cast<std::uint64_t>(m));
+  // m >= 2^64 (Paillier's n^2): reduced operands can exceed 2^64, so their
+  // product can overflow u128. Only the small-operand case multiplies.
   if ((a >> 64) == 0 && (b >> 64) == 0) {
     // a*b < 2^128; reduce directly when it cannot overflow the reduction.
     if ((a >> 32) == 0 || (b >> 32) == 0) return (a * b) % m;
@@ -31,6 +46,17 @@ u128 mulmod(u128 a, u128 b, u128 m) {
 
 u128 powmod(u128 base, u128 exp, u128 m) {
   PPML_CHECK(m != 0, "powmod: zero modulus");
+  if ((m >> 64) == 0) {
+    const auto m64 = static_cast<std::uint64_t>(m);
+    std::uint64_t result = 1 % m64;
+    auto b = static_cast<std::uint64_t>(base % m);
+    while (exp != 0) {
+      if (exp & 1) result = mulmod_u64(result, b, m64);
+      b = mulmod_u64(b, b, m64);
+      exp >>= 1;
+    }
+    return result;
+  }
   u128 result = 1 % m;
   base %= m;
   while (exp != 0) {

@@ -12,10 +12,14 @@ namespace ppml::crypto {
 
 using u128 = unsigned __int128;
 
-/// (a * b) mod m for m < 2^126, via double-and-add (no 256-bit multiply).
+/// (a * b) mod m for m < 2^126. For m < 2^64 both reduced operands are
+/// below 2^64, so their product fits a u128 exactly and one multiply plus
+/// one `%` gives the answer. Wider moduli (only Paillier's n^2) reduce by
+/// bit-serial double-and-add, since their product could need 252 bits.
 u128 mulmod(u128 a, u128 b, u128 m);
 
-/// (base ^ exp) mod m.
+/// (base ^ exp) mod m by square-and-multiply. The modulus width is checked
+/// once, so the m < 2^64 loop multiplies without per-step dispatch.
 u128 powmod(u128 base, u128 exp, u128 m);
 
 /// Greatest common divisor.

@@ -247,13 +247,16 @@ std::vector<std::vector<std::uint64_t>> agree_pairwise_seeds(
     Xoshiro256 rng(session_seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
     keys[i] = dh_keygen(group, rng);
   }
+  // Each public value is validated once, then serves every pair it is in.
+  for (const DhKeyPair& key : keys) dh_check_public(group, key.public_value);
   std::vector<std::vector<std::uint64_t>> seeds(
       num_parties, std::vector<std::uint64_t>(num_parties, 0));
+  // g^{x_i x_j} == g^{x_j x_i}: one exponentiation per unordered pair.
   for (std::size_t i = 0; i < num_parties; ++i) {
-    for (std::size_t j = 0; j < num_parties; ++j) {
-      if (i == j) continue;
-      seeds[i][j] =
-          dh_shared_secret(group, keys[i].secret, keys[j].public_value);
+    for (std::size_t j = i + 1; j < num_parties; ++j) {
+      seeds[i][j] = static_cast<std::uint64_t>(
+          powmod(keys[j].public_value, keys[i].secret, group.p));
+      seeds[j][i] = seeds[i][j];
     }
   }
   return seeds;

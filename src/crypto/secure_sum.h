@@ -120,6 +120,8 @@ class SecureSumAggregator {
 
 /// Agree pairwise seeds for M parties via Diffie–Hellman on the standard
 /// group: returns seeds[i][j] with seeds[i][j] == seeds[j][i] for i != j.
+/// Costs M key generations, M public-value checks and M(M-1)/2 shared
+/// secrets.
 std::vector<std::vector<std::uint64_t>> agree_pairwise_seeds(
     std::size_t num_parties, std::uint64_t session_seed);
 

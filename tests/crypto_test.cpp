@@ -132,6 +132,92 @@ TEST(ModMath, MulmodMatchesSmallCases) {
             static_cast<u128>((static_cast<u128>(a) * a) % m));
 }
 
+// Bit-serial double-and-add reference: exact for any m < 2^127, independent
+// of the single-multiply path mulmod takes for m < 2^64.
+u128 mulmod_oracle(u128 a, u128 b, u128 m) {
+  a %= m;
+  b %= m;
+  u128 result = 0;
+  while (b != 0) {
+    if (b & 1) {
+      result += a;
+      if (result >= m) result -= m;
+    }
+    a <<= 1;
+    if (a >= m) a -= m;
+    b >>= 1;
+  }
+  return result;
+}
+
+u128 powmod_oracle(u128 base, u128 exp, u128 m) {
+  u128 result = 1 % m;
+  base %= m;
+  for (; exp != 0; exp >>= 1) {
+    if (exp & 1) result = mulmod_oracle(result, base, m);
+    base = mulmod_oracle(base, base, m);
+  }
+  return result;
+}
+
+u128 wide(std::uint64_t hi, std::uint64_t lo) {
+  return (static_cast<u128>(hi) << 64) | lo;
+}
+
+TEST(ModMath, MulmodMatchesBitSerialOracleBelow2To64) {
+  const std::vector<u128> moduli{
+      2,
+      (u128{1} << 32) - 1,
+      (u128{1} << 32) + 1,
+      DhGroup::standard_group().p,
+      (u128{1} << 61) - 1,
+      (u128{1} << 64) - 59,  // largest prime below 2^64
+  };
+  Xoshiro256 rng(0x6d756c6d6f64ULL);
+  for (const u128 m : moduli) {
+    std::vector<u128> operands{0, 1, m - 2, m - 1};
+    for (int k = 0; k < 16; ++k) operands.push_back(rng.next() % m);
+    for (int k = 0; k < 8; ++k) operands.push_back(rng.next());
+    // Unreduced operands above 2^64 exercise the initial `% m`.
+    for (int k = 0; k < 8; ++k)
+      operands.push_back(wide(rng.next() >> 2, rng.next()));
+    operands.push_back(wide(0x3FFFFFFFFFFFFFFFULL, ~0ULL));
+    for (const u128 a : operands) {
+      for (const u128 b : operands) {
+        ASSERT_EQ(mulmod(a, b, m), mulmod_oracle(a, b, m))
+            << "m=" << static_cast<std::uint64_t>(m);
+      }
+      const u128 exp = rng.next();
+      ASSERT_EQ(powmod(a, exp, m), powmod_oracle(a, exp, m))
+          << "m=" << static_cast<std::uint64_t>(m);
+    }
+  }
+}
+
+TEST(ModMath, MulmodExactAbove2To64) {
+  // Paillier-size moduli (n^2 > 2^64) take the bit-serial path.
+  Xoshiro256 key_rng(3);
+  const PaillierKeyPair keys = paillier_keygen(24, key_rng);
+  const std::vector<u128> moduli{
+      keys.public_key.n_squared,
+      (u128{1} << 64) + 13,
+      (u128{1} << 126) - 137,
+  };
+  Xoshiro256 rng(0x7061696c6c6965ULL);
+  for (const u128 m : moduli) {
+    ASSERT_GT(m >> 64, 0u);
+    std::vector<u128> operands{0, 1, 0xFFFFFFFFULL, m - 2, m - 1};
+    for (int k = 0; k < 24; ++k)
+      operands.push_back(wide(rng.next(), rng.next()));
+    for (const u128 a : operands) {
+      for (const u128 b : operands)
+        ASSERT_EQ(mulmod(a, b, m), mulmod_oracle(a, b, m));
+      const u128 exp = rng.next();
+      ASSERT_EQ(powmod(a, exp, m), powmod_oracle(a, exp, m));
+    }
+  }
+}
+
 TEST(ModMath, PowmodMatchesReference) {
   EXPECT_EQ(powmod(2, 10, 1000), 24u);
   EXPECT_EQ(powmod(3, 0, 7), 1u);
@@ -184,22 +270,63 @@ TEST(Dh, SharedSecretsAgree) {
   EXPECT_NE(s1, 0u);
 }
 
+/// Smallest quadratic non-residue mod p (an element outside the order-q
+/// subgroup).
+std::uint64_t non_residue(const DhGroup& group) {
+  std::uint64_t h = 2;
+  while (powmod(h, group.q, group.p) == 1) ++h;
+  return h;
+}
+
+/// Expect `fn` to throw InvalidArgument whose message names the shared
+/// validation helper and contains `what`.
+template <typename Fn>
+void expect_public_rejected(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected InvalidArgument mentioning " << what;
+  } catch (const InvalidArgument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("dh_check_public"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
 TEST(Dh, RejectsOutOfGroupPeerValues) {
   const DhGroup group = DhGroup::standard_group();
   Xoshiro256 rng(6);
   const DhKeyPair key = dh_keygen(group, rng);
-  EXPECT_THROW(dh_shared_secret(group, key.secret, 0), InvalidArgument);
-  EXPECT_THROW(dh_shared_secret(group, key.secret, 1), InvalidArgument);
-  EXPECT_THROW(dh_shared_secret(group, key.secret, group.p - 1),
-               InvalidArgument);
-  // A non-residue (order 2q element) must be rejected by the subgroup check.
-  // g is a generator of the QR subgroup; find a non-QR by trial.
-  for (std::uint64_t h = 2; h < 50; ++h) {
-    if (powmod(h, group.q, group.p) != 1) {
-      EXPECT_THROW(dh_shared_secret(group, key.secret, h), InvalidArgument);
-      break;
-    }
+  // Range guard, through dh_shared_secret and through the helper itself.
+  for (std::uint64_t bad : {std::uint64_t{0}, std::uint64_t{1}, group.p - 1,
+                            group.p, group.p + 5}) {
+    expect_public_rejected(
+        [&] { dh_shared_secret(group, key.secret, bad); }, "out of range");
+    expect_public_rejected([&] { dh_check_public(group, bad); },
+                           "out of range");
   }
+  // A non-residue (order 2q element) must be rejected by the subgroup check.
+  const std::uint64_t h = non_residue(group);
+  expect_public_rejected([&] { dh_shared_secret(group, key.secret, h); },
+                         "prime-order subgroup");
+  expect_public_rejected([&] { dh_check_public(group, h); },
+                         "prime-order subgroup");
+  EXPECT_NO_THROW(dh_check_public(group, key.public_value));
+  EXPECT_NO_THROW(dh_check_public(group, group.g));
+}
+
+TEST(Dh, CorruptedPublicValueFailsValidation) {
+  // A public value tampered in transit (multiplied by a non-residue) leaves
+  // the subgroup; validation must catch it before any secret is derived.
+  const DhGroup group = DhGroup::standard_group();
+  Xoshiro256 rng(7);
+  const DhKeyPair mine = dh_keygen(group, rng);
+  DhKeyPair peer = dh_keygen(group, rng);
+  ASSERT_NO_THROW(dh_check_public(group, peer.public_value));
+  peer.public_value = static_cast<std::uint64_t>(
+      mulmod(peer.public_value, non_residue(group), group.p));
+  EXPECT_THROW(dh_check_public(group, peer.public_value), InvalidArgument);
+  EXPECT_THROW(dh_shared_secret(group, mine.secret, peer.public_value),
+               InvalidArgument);
 }
 
 class SecureSumParties : public ::testing::TestWithParam<std::size_t> {};
@@ -311,6 +438,42 @@ TEST(SecureSum, PairwiseSeedsSymmetric) {
   for (std::size_t i = 0; i < 5; ++i)
     for (std::size_t j = 0; j < 5; ++j)
       if (i != j) EXPECT_EQ(seeds[i][j], seeds[j][i]);
+}
+
+/// FNV-1a over the matrix words, row-major, each word little-endian.
+std::uint64_t fnv1a(const std::vector<std::vector<std::uint64_t>>& matrix) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& row : matrix)
+    for (std::uint64_t w : row)
+      for (int b = 0; b < 8; ++b) {
+        h ^= (w >> (8 * b)) & 0xFF;
+        h *= 0x100000001b3ULL;
+      }
+  return h;
+}
+
+TEST(SecureSum, PairwiseSeedMatrixDigestsPinned) {
+  // Recorded from the two-exponentiations-per-ordered-pair implementation
+  // (every seeds[i][j] computed as dh_shared_secret(x_i, g^{x_j})). Any
+  // change to key generation, the group or the modular arithmetic that
+  // moves a single seed bit moves these digests.
+  const std::map<std::size_t, std::uint64_t> pinned{
+      {2, 0xAF593102E99E8AC9ULL},
+      {5, 0xF3FF3C94479C4D1DULL},
+      {64, 0x7900D919BB8C37CDULL},
+      {128, 0x02358C98E40567F1ULL},
+  };
+  for (const auto& [m, digest] : pinned) {
+    const auto seeds = agree_pairwise_seeds(m, 0x5EED0000ULL + m);
+    ASSERT_EQ(seeds.size(), m);
+    for (std::size_t i = 0; i < m; ++i) {
+      ASSERT_EQ(seeds[i].size(), m);
+      EXPECT_EQ(seeds[i][i], 0u);
+      for (std::size_t j = 0; j < i; ++j)
+        ASSERT_EQ(seeds[i][j], seeds[j][i]) << "m=" << m;
+    }
+    EXPECT_EQ(fnv1a(seeds), digest) << "m=" << m;
+  }
 }
 
 TEST(SecretSharing, AdditiveRoundTrip) {
