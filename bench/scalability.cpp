@@ -14,6 +14,7 @@
 // instrumentation path.
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <random>
 
 #include "bench/bench_common.h"
@@ -22,6 +23,7 @@
 #include "core/mapreduce_adapter.h"
 #include "data/partition.h"
 #include "linalg/blas.h"
+#include "linalg/cholesky.h"
 #include "linalg/microkernel.h"
 #include "obs/obs.h"
 #include "obs/report.h"
@@ -245,6 +247,77 @@ SimdStats run_simd_cell() {
   return stats;
 }
 
+/// The factorization half of the SIMD head-to-head: the kernel-vertical
+/// system I + rho*K (K an RBF Gram, one party's 1500 training rows) factored
+/// once and solved 40 times, scalar-pinned and then dispatched.
+struct FactorStats {
+  std::size_t n = 0;
+  double scalar_factor_seconds = 0.0;
+  double dispatch_factor_seconds = 0.0;
+  double scalar_solve40_seconds = 0.0;
+  double dispatch_solve40_seconds = 0.0;
+  std::size_t bits_differ = 0;  ///< factor + solution elements; must be 0
+};
+
+FactorStats run_factor_cell() {
+  constexpr std::size_t kRows = 1500;
+  constexpr std::size_t kFeatures = 28;
+  constexpr std::size_t kSolves = 40;
+  constexpr double kRho = 100.0;
+  std::mt19937_64 rng(0xC401u);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  linalg::Matrix x(kRows, kFeatures);
+  for (double& v : x.data()) v = normal(rng);
+  linalg::Matrix system = svm::gram(svm::Kernel::rbf(0.1), x);
+  for (double& v : system.data()) v *= kRho;
+  for (std::size_t i = 0; i < kRows; ++i) system(i, i) += 1.0;
+  linalg::Matrix rhs(kSolves, kRows);
+  for (double& v : rhs.data()) v = normal(rng);
+
+  struct Run {
+    double factor_seconds = 0.0;
+    double solve_seconds = 0.0;
+    linalg::Matrix l;
+    std::vector<linalg::Vector> solutions;
+  };
+  const auto run_once = [&]() {
+    Run run;
+    auto start = std::chrono::steady_clock::now();
+    const linalg::Cholesky factor(system);
+    auto stop = std::chrono::steady_clock::now();
+    run.factor_seconds = std::chrono::duration<double>(stop - start).count();
+    start = std::chrono::steady_clock::now();
+    for (std::size_t s = 0; s < kSolves; ++s)
+      run.solutions.push_back(factor.solve(rhs.row(s)));
+    stop = std::chrono::steady_clock::now();
+    run.solve_seconds = std::chrono::duration<double>(stop - start).count();
+    run.l = factor.l();
+    return run;
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+
+  linalg::force_isa(linalg::Isa::kScalar);
+  const Run scalar = run_once();
+  linalg::clear_forced_isa();
+  const Run dispatch = run_once();
+
+  FactorStats stats;
+  stats.n = kRows;
+  stats.scalar_factor_seconds = scalar.factor_seconds;
+  stats.dispatch_factor_seconds = dispatch.factor_seconds;
+  stats.scalar_solve40_seconds = scalar.solve_seconds;
+  stats.dispatch_solve40_seconds = dispatch.solve_seconds;
+  for (std::size_t i = 0; i < scalar.l.size(); ++i)
+    stats.bits_differ += !same_bits(scalar.l.data()[i], dispatch.l.data()[i]);
+  for (std::size_t s = 0; s < kSolves; ++s)
+    for (std::size_t i = 0; i < kRows; ++i)
+      stats.bits_differ +=
+          !same_bits(scalar.solutions[s][i], dispatch.solutions[s][i]);
+  return stats;
+}
+
 /// The HIGGS-scale row: n = 10^6 synthetic-HIGGS rows as a full cluster job
 /// with a blockstore budget far below the serialized shards, so the map
 /// phase streams spilled partitions off mmap. The matrix-free factored dual
@@ -428,8 +501,8 @@ int main() {
   }
 
   // SIMD microkernel head-to-head: scalar-pinned vs runtime-dispatched on
-  // the dense primitives. Outputs are asserted bit-identical — only the
-  // wall time may move.
+  // the dense primitives and on the Cholesky factor and solves. Outputs are
+  // asserted bit-identical — only the wall time may move.
   {
     std::printf("\n## SIMD microkernels: scalar vs dispatched (gemm_nt + RBF "
                 "gram, bit-identity enforced)\n");
@@ -444,12 +517,35 @@ int main() {
                    "FATAL: dispatched microkernels differ from scalar\n");
       return 1;
     }
+    std::printf("\n## Cholesky of I + rho*K: scalar vs dispatched (factor + "
+                "40 solves, bit-identity enforced)\n");
+    const FactorStats f = run_factor_cell();
+    std::printf("%6s %16s %18s %16s %18s %12s\n", "n", "factor_scalar_s",
+                "factor_dispatch_s", "solve40_scalar_s", "solve40_dispatch_s",
+                "bits_differ");
+    std::printf("%6zu %16.4f %18.4f %16.4f %18.4f %12zu\n", f.n,
+                f.scalar_factor_seconds, f.dispatch_factor_seconds,
+                f.scalar_solve40_seconds, f.dispatch_solve40_seconds,
+                f.bits_differ);
+    if (f.bits_differ != 0) {
+      std::fprintf(stderr,
+                   "FATAL: dispatched Cholesky differs from scalar in %zu "
+                   "elements\n",
+                   f.bits_differ);
+      return 1;
+    }
     obs::JsonValue simd = obs::JsonValue::object();
     simd.set("isa", s.isa);
     simd.set("scalar_seconds", s.scalar_seconds);
     simd.set("dispatch_seconds", s.dispatch_seconds);
     simd.set("speedup", s.speedup);
     simd.set("max_abs_diff_vs_scalar", s.max_abs_diff_vs_scalar);
+    simd.set("cholesky_n", f.n);
+    simd.set("cholesky_scalar_factor_seconds", f.scalar_factor_seconds);
+    simd.set("cholesky_dispatch_factor_seconds", f.dispatch_factor_seconds);
+    simd.set("cholesky_scalar_solve40_seconds", f.scalar_solve40_seconds);
+    simd.set("cholesky_dispatch_solve40_seconds", f.dispatch_solve40_seconds);
+    simd.set("cholesky_bits_differ_vs_scalar", f.bits_differ);
     report.set("simd", std::move(simd));
   }
 

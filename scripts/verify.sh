@@ -36,6 +36,9 @@ cmake --build build-asan -j"$jobs" --target mapreduce_test chaos_test \
 ./build-asan/tests/obs_test
 ./build-asan/tests/qp_test
 ./build-asan/tests/linalg_test
+# Again pinned to the scalar table, so both dispatch entries of the
+# Cholesky rank-update primitive run under the sanitizers.
+PPML_FORCE_ISA=scalar ./build-asan/tests/linalg_test
 # SIMD microkernels under ASan/UBSan, once dispatched and once pinned to
 # the scalar table: tail-lane loads at awkward shapes and the cpuid/env
 # dispatcher are exactly where out-of-bounds reads would hide.

@@ -1,4 +1,4 @@
-// Symmetric positive-definite factorizations and solves.
+// Symmetric positive-definite factorization and solves.
 #pragma once
 
 #include "linalg/matrix.h"
@@ -10,15 +10,31 @@ namespace ppml::linalg {
 /// Throws NumericError if A is not (numerically) positive definite.
 /// The factor is reusable for many right-hand sides — the ADMM trainers
 /// factor once and solve every iteration.
+///
+/// Storage: the factor is kept as U = L^T, row-major upper triangular, in
+/// one n x n buffer, so every hot loop walks rows. The factorization is a
+/// blocked right-looking one done in place (panels of rows, then a rank-nb
+/// update of the trailing rows through microkernels().rank_update) with
+/// O(nb * n) scratch. Each element still sees the textbook Crout sequence
+/// a(i,j) - p_0 - p_1 - ... then / L(j,j), in ascending k, so the factor,
+/// solves, inverse and log-det are bit-identical at every ISA level to the
+/// scalar column-by-column loop (pinned in linalg_test). A is read from its
+/// lower triangle only. docs/performance.md ("Factorization") has the layout
+/// and the argument.
 class Cholesky {
  public:
+  /// Rows per panel (nb) of the blocked factorization and per block of the
+  /// forward solve.
+  static constexpr std::size_t kPanelRows = 32;
+
   /// Factor `a` (must be square, symmetric, positive definite).
   explicit Cholesky(const Matrix& a);
 
-  std::size_t dim() const noexcept { return l_.rows(); }
+  std::size_t dim() const noexcept { return u_.rows(); }
 
-  /// Lower-triangular factor L.
-  const Matrix& l() const noexcept { return l_; }
+  /// Lower-triangular factor L, as a transposed copy of the stored U = L^T
+  /// (tests and diagnostics only; the solves never materialize it).
+  Matrix l() const { return u_.transposed(); }
 
   /// Solve A x = b.
   Vector solve(std::span<const double> b) const;
@@ -33,22 +49,7 @@ class Cholesky {
   double log_det() const;
 
  private:
-  Matrix l_;
-};
-
-/// LDL^T factorization for symmetric (possibly indefinite but full-rank,
-/// diagonally dominated) matrices; no pivoting. Used where small negative
-/// curvature from round-off would break plain Cholesky.
-class Ldlt {
- public:
-  explicit Ldlt(const Matrix& a);
-
-  std::size_t dim() const noexcept { return l_.rows(); }
-  Vector solve(std::span<const double> b) const;
-
- private:
-  Matrix l_;   // unit lower triangular
-  Vector d_;   // diagonal of D
+  Matrix u_;  // U = L^T, upper triangular; the strict lower triangle is 0
 };
 
 /// Solve the small dense SPD system (I*alpha + B) x = b via Cholesky.

@@ -2,9 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <ostream>
 
 namespace ppml::linalg {
+
+namespace {
+// rows * cols, or InvalidArgument when the product does not fit a size_t (a
+// wrapped product would size the buffer smaller than the shape claims).
+std::size_t checked_area(std::size_t rows, std::size_t cols) {
+  PPML_CHECK(cols == 0 || rows <= std::numeric_limits<std::size_t>::max() / cols,
+             "matrix shape " + std::to_string(rows) + "x" +
+                 std::to_string(cols) + " overflows rows*cols");
+  return rows * cols;
+}
+}  // namespace
+
+// Separate from the fill constructor: with the literal 0.0 in view the
+// compiler zeroes the buffer with memset rather than a store loop.
+Matrix::Matrix(std::size_t rows, std::size_t cols)
+    : rows_(rows), cols_(cols), data_(checked_area(rows, cols), 0.0) {}
+
+Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
+    : rows_(rows), cols_(cols), data_(checked_area(rows, cols), fill) {}
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
   rows_ = init.size();
@@ -18,7 +38,7 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
     : rows_(rows), cols_(cols), data_(std::move(data)) {
-  PPML_CHECK(data_.size() == rows * cols,
+  PPML_CHECK(data_.size() == checked_area(rows, cols),
              "flat buffer size does not match rows*cols");
 }
 
@@ -47,9 +67,9 @@ Matrix Matrix::transposed() const {
 }
 
 void Matrix::resize(std::size_t rows, std::size_t cols) {
+  data_.assign(checked_area(rows, cols), 0.0);
   rows_ = rows;
   cols_ = cols;
-  data_.assign(rows * cols, 0.0);
 }
 
 void Matrix::fill(double value) {

@@ -28,18 +28,18 @@ class Matrix {
  public:
   Matrix() = default;
 
-  /// rows x cols matrix, zero-initialized.
-  Matrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+  /// rows x cols matrix, zero-initialized. Throws InvalidArgument when
+  /// rows * cols overflows.
+  Matrix(std::size_t rows, std::size_t cols);
 
   /// rows x cols matrix filled with `fill`.
-  Matrix(std::size_t rows, std::size_t cols, double fill)
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+  Matrix(std::size_t rows, std::size_t cols, double fill);
 
   /// Build from nested initializer list: Matrix{{1,2},{3,4}}.
   Matrix(std::initializer_list<std::initializer_list<double>> init);
 
-  /// Build from an existing flat row-major buffer (copied).
+  /// Build from an existing flat row-major buffer (moved in). Throws
+  /// InvalidArgument unless data.size() == rows * cols without overflow.
   Matrix(std::size_t rows, std::size_t cols, std::vector<double> data);
 
   std::size_t rows() const noexcept { return rows_; }

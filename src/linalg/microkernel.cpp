@@ -12,9 +12,11 @@ namespace ppml::linalg {
 namespace {
 
 // ---- Scalar reference kernels ----------------------------------------------
-// These are character-for-character the loops the blocked blas.cpp paths and
-// svm kernel evaluators ran before the dispatch seam existed; every other
-// ISA level is pinned bit-identical to them (and to the naive oracles).
+// axpy, dot_rows and sqdist_rows are character-for-character the loops the
+// blocked blas.cpp paths and svm kernel evaluators ran before the dispatch
+// seam existed; rank_update is one axpy per row of x, in ascending row order.
+// Every other ISA level is pinned bit-identical to them (and to the naive
+// oracles).
 
 void axpy_scalar(double a, const double* x, double* y, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) y[j] += a * x[j];
@@ -43,8 +45,18 @@ void sqdist_rows_scalar(const double* x, const double* b, std::size_t ldb,
   }
 }
 
-constexpr Microkernels kScalarTable{
-    Isa::kScalar, "scalar", axpy_scalar, dot_rows_scalar, sqdist_rows_scalar};
+void rank_update_scalar(const double* a, const double* x, std::size_t ldx,
+                        std::size_t kk, double* y, std::size_t n) {
+  for (std::size_t p = 0; p < kk; ++p) {
+    const double ap = a[p];
+    const double* xp = x + p * ldx;
+    for (std::size_t j = 0; j < n; ++j) y[j] += ap * xp[j];
+  }
+}
+
+constexpr Microkernels kScalarTable{Isa::kScalar,        "scalar",
+                                    axpy_scalar,         dot_rows_scalar,
+                                    sqdist_rows_scalar,  rank_update_scalar};
 
 }  // namespace
 

@@ -1,12 +1,15 @@
 // Runtime-dispatched SIMD microkernels for the blocked linalg hot loops.
 //
-// The blocked gemm/gemm_nt/syrk tile loops in blas.cpp and the RBF/poly row
-// evaluators in svm/kernel.cpp all reduce to three primitive shapes:
+// The blocked gemm/gemm_nt/syrk tile loops in blas.cpp, the RBF/poly row
+// evaluators in svm/kernel.cpp and the blocked Cholesky factor and forward
+// solve in cholesky.cpp all reduce to four primitive shapes:
 //
 //   axpy         y[j] += a * x[j]                     (gemm inner tile)
 //   dot_rows     out[r] = sum_k x[k] * b_r[k]         (gemm_nt / syrk / gemv
 //                                                      / dot-kernel rows)
 //   sqdist_rows  out[r] = sum_k (x[k] - b_r[k])^2     (RBF kernel rows)
+//   rank_update  y[j] += a[p] * x_p[j], p ascending   (Cholesky panel and
+//                                                      trailing update)
 //
 // Each primitive has a scalar implementation (the exact loops the blocked
 // paths used before this seam existed) and an AVX2 implementation selected
@@ -50,6 +53,13 @@ struct Microkernels {
   /// out[r] = sum over k in ascending order of (x[k] - b[r*ldb+k])^2.
   void (*sqdist_rows)(const double* x, const double* b, std::size_t ldb,
                       std::size_t rows, std::size_t k, double* out);
+
+  /// Rank-kk row update: for p = 0, 1, ..., kk-1 in that order,
+  /// y[j] += a[p] * x[p*ldx + j] for j in [0, n). Every y[j] sees one
+  /// multiply and one add per p, in ascending p. Row p of x starts at
+  /// x + p*ldx (ldx >= n); x and y must not overlap.
+  void (*rank_update)(const double* a, const double* x, std::size_t ldx,
+                      std::size_t kk, double* y, std::size_t n);
 };
 
 /// The active table. First call resolves the level (forced > PPML_FORCE_ISA

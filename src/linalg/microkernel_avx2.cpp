@@ -122,8 +122,49 @@ void sqdist_rows_avx2(const double* x, const double* b, std::size_t ldb,
   }
 }
 
-constexpr Microkernels kAvx2Table{Isa::kAvx2, "avx2", axpy_avx2, dot_rows_avx2,
-                                  sqdist_rows_avx2};
+// Register tile of 16 columns: four accumulators hold y[j..j+16) across all
+// kk rows of x, so y is loaded and stored once per tile rather than once per
+// row. Lane j is fed a[p]*x_p[j] by vmulpd + vaddpd in ascending p — the
+// scalar loop's sequence.
+void rank_update_avx2(const double* a, const double* x, std::size_t ldx,
+                      std::size_t kk, double* y, std::size_t n) {
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    __m256d y0 = _mm256_loadu_pd(y + j);
+    __m256d y1 = _mm256_loadu_pd(y + j + 4);
+    __m256d y2 = _mm256_loadu_pd(y + j + 8);
+    __m256d y3 = _mm256_loadu_pd(y + j + 12);
+    const double* xp = x + j;
+    for (std::size_t p = 0; p < kk; ++p, xp += ldx) {
+      const __m256d va = _mm256_set1_pd(a[p]);
+      y0 = _mm256_add_pd(y0, _mm256_mul_pd(va, _mm256_loadu_pd(xp)));
+      y1 = _mm256_add_pd(y1, _mm256_mul_pd(va, _mm256_loadu_pd(xp + 4)));
+      y2 = _mm256_add_pd(y2, _mm256_mul_pd(va, _mm256_loadu_pd(xp + 8)));
+      y3 = _mm256_add_pd(y3, _mm256_mul_pd(va, _mm256_loadu_pd(xp + 12)));
+    }
+    _mm256_storeu_pd(y + j, y0);
+    _mm256_storeu_pd(y + j + 4, y1);
+    _mm256_storeu_pd(y + j + 8, y2);
+    _mm256_storeu_pd(y + j + 12, y3);
+  }
+  for (; j + 4 <= n; j += 4) {
+    __m256d acc = _mm256_loadu_pd(y + j);
+    const double* xp = x + j;
+    for (std::size_t p = 0; p < kk; ++p, xp += ldx)
+      acc = _mm256_add_pd(
+          acc, _mm256_mul_pd(_mm256_set1_pd(a[p]), _mm256_loadu_pd(xp)));
+    _mm256_storeu_pd(y + j, acc);
+  }
+  for (; j < n; ++j) {
+    double acc = y[j];
+    for (std::size_t p = 0; p < kk; ++p) acc += a[p] * x[p * ldx + j];
+    y[j] = acc;
+  }
+}
+
+constexpr Microkernels kAvx2Table{Isa::kAvx2,       "avx2",
+                                  axpy_avx2,        dot_rows_avx2,
+                                  sqdist_rows_avx2, rank_update_avx2};
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "core/glm_horizontal.h"
 #include "core/mapreduce_adapter.h"
@@ -93,9 +94,27 @@ TEST(NumericCorners, OneByOneCholesky) {
   EXPECT_DOUBLE_EQ(x[0], 2.0);
 }
 
-TEST(NumericCorners, LdltZeroPivotThrows) {
-  linalg::Matrix a{{0.0, 0.0}, {0.0, 1.0}};
-  EXPECT_THROW(linalg::Ldlt{a}, NumericError);
+TEST(NumericCorners, MatrixShapeOverflowThrows) {
+  // rows * cols wraps size_t: the buffer must not be sized by the wrapped
+  // product.
+  const std::size_t big = std::size_t{1} << (sizeof(std::size_t) * 4);
+  EXPECT_THROW(linalg::Matrix(big, big), InvalidArgument);
+  EXPECT_THROW(linalg::Matrix(big + 1, big, 1.0), InvalidArgument);
+  EXPECT_THROW(linalg::Matrix(big, big, std::vector<double>{}),
+               InvalidArgument);
+  linalg::Matrix m(2, 2);
+  EXPECT_THROW(m.resize(big, big), InvalidArgument);
+  EXPECT_EQ(m.rows(), 2u);
+  EXPECT_EQ(m.size(), 4u);
+  EXPECT_NO_THROW(linalg::Matrix(big, 0));
+}
+
+TEST(NumericCorners, FlatBufferMustMatchShape) {
+  EXPECT_THROW(linalg::Matrix(2, 3, std::vector<double>(5)), InvalidArgument);
+  EXPECT_THROW(linalg::Matrix(2, 3, std::vector<double>(7)), InvalidArgument);
+  EXPECT_THROW(linalg::Matrix(0, 3, std::vector<double>(1)), InvalidArgument);
+  const linalg::Matrix ok(2, 3, std::vector<double>(6, 1.5));
+  EXPECT_EQ(ok(1, 2), 1.5);
 }
 
 TEST(NumericCorners, EmptyMatrixOperations) {

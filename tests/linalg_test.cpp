@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <random>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -217,19 +221,220 @@ TEST(Cholesky, MatrixSolveMatchesColumnSolves) {
   }
 }
 
-TEST(Ldlt, SolvesIndefiniteSystems) {
-  // Symmetric, full rank, indefinite (one negative eigenvalue).
-  Matrix a{{2.0, 1.0}, {1.0, -3.0}};
-  Vector x_true{1.5, -2.0};
-  const Vector rhs = gemv(a, x_true);
-  const Vector x = Ldlt(a).solve(rhs);
-  EXPECT_TRUE(allclose(x, x_true, 1e-10));
+// ---------------------------------------------------------------------------
+// Bit-identity pin for the blocked factor. The oracle below is a verbatim
+// copy of the scalar column-by-column Crout factor and the two
+// substitutions the blocked U = L^T code replaced; every factor element,
+// solve, inverse and log-det must match it bit for bit, at every panel
+// boundary and at both dispatch levels (the suite is also registered with
+// PPML_FORCE_ISA=scalar).
+
+Matrix crout_oracle(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double diag = a(j, j);
+    const auto lrow_j = l.row(j);
+    for (std::size_t k = 0; k < j; ++k) diag -= lrow_j[k] * lrow_j[k];
+    if (!(diag > 0.0)) {
+      throw NumericError("Cholesky: matrix is not positive definite (pivot " +
+                         std::to_string(diag) + " at column " +
+                         std::to_string(j) + ")");
+    }
+    const double ljj = std::sqrt(diag);
+    l(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double acc = a(i, j);
+      const auto lrow_i = l.row(i);
+      for (std::size_t k = 0; k < j; ++k) acc -= lrow_i[k] * lrow_j[k];
+      l(i, j) = acc / ljj;
+    }
+  }
+  return l;
 }
 
-TEST(Ldlt, MatchesCholeskyOnSpd) {
-  Matrix a{{6.0, 2.0, 1.0}, {2.0, 5.0, 2.0}, {1.0, 2.0, 4.0}};
-  Vector rhs{1.0, 2.0, 3.0};
-  EXPECT_TRUE(allclose(Ldlt(a).solve(rhs), Cholesky(a).solve(rhs), 1e-10));
+void forward_substitute_oracle(const Matrix& l, Vector& x) {
+  const std::size_t n = l.rows();
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = x[i];
+    const auto row = l.row(i);
+    for (std::size_t j = 0; j < i; ++j) acc -= row[j] * x[j];
+    x[i] = acc / row[i];
+  }
+}
+
+void backward_substitute_transposed_oracle(const Matrix& l, Vector& x) {
+  const std::size_t n = l.rows();
+  for (std::size_t ii = n; ii-- > 0;) {
+    double acc = x[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) acc -= l(j, ii) * x[j];
+    x[ii] = acc / l(ii, ii);
+  }
+}
+
+Vector solve_oracle(const Matrix& l, std::span<const double> b) {
+  Vector x(b.begin(), b.end());
+  forward_substitute_oracle(l, x);
+  backward_substitute_transposed_oracle(l, x);
+  return x;
+}
+
+/// Message of the NumericError `factor` throws ("" when it does not throw).
+template <typename Fn>
+std::string numeric_error_message(Fn&& factor) {
+  try {
+    factor();
+  } catch (const NumericError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// EXPECT_EQ on the IEEE-754 bit pattern of every element (so -0.0 against
+/// +0.0 fails too); reports the first mismatch only.
+void expect_bit_identical(std::span<const double> got,
+                          std::span<const double> want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << what << ": element " << i << " is " << got[i] << ", oracle "
+          << want[i];
+      return;
+    }
+  }
+}
+
+enum class SpdKind {
+  kGram,          // B B^T + n I
+  kRbf,           // I + rho K, K an RBF Gram (the kernel-vertical system)
+  kNearSymmetric  // RBF system with sub-tolerance noise above the diagonal
+};
+
+Matrix make_spd(SpdKind kind, std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed * 7919 + n);
+  std::normal_distribution<double> normal;
+  if (kind == SpdKind::kGram) {
+    Matrix b(n, n);
+    for (double& v : b.data()) v = normal(rng);
+    Matrix a = gram_a_at(b);
+    for (std::size_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
+    return a;
+  }
+  constexpr std::size_t kFeatures = 6;
+  constexpr double kGamma = 0.1;
+  constexpr double kRho = 100.0;
+  Matrix x(n, kFeatures);
+  for (double& v : x.data()) v = normal(rng);
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double k = std::exp(-kGamma * squared_distance(x.row(i), x.row(j)));
+      a(i, j) = a(j, i) = kRho * k;
+    }
+    a(i, i) += 1.0;
+  }
+  if (kind == SpdKind::kNearSymmetric) {
+    // The factor reads the lower triangle only; noise above the diagonal
+    // must pass the symmetry check and leave every bit unchanged.
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j) a(i, j) *= 1.0 + 1e-12;
+  }
+  return a;
+}
+
+struct FactorCase {
+  std::size_t n;
+  std::uint64_t seed;
+  SpdKind kind;
+};
+
+std::string case_name(const ::testing::TestParamInfo<FactorCase>& info) {
+  const char* kinds[] = {"gram", "rbf", "nearsym"};
+  return std::string(kinds[static_cast<int>(info.param.kind)]) + "_n" +
+         std::to_string(info.param.n) + "_seed" +
+         std::to_string(info.param.seed);
+}
+
+std::vector<FactorCase> factor_cases() {
+  constexpr std::size_t nb = Cholesky::kPanelRows;
+  const std::size_t sizes[] = {1, 2, 3, 4, 5, 7, nb - 1, nb, nb + 1,
+                               2 * nb + 3, 517};
+  std::vector<FactorCase> cases;
+  for (SpdKind kind : {SpdKind::kGram, SpdKind::kRbf, SpdKind::kNearSymmetric})
+    for (std::size_t n : sizes)
+      for (std::uint64_t seed : {1u, 2u, 3u}) cases.push_back({n, seed, kind});
+  return cases;
+}
+
+class CholeskyOracle : public ::testing::TestWithParam<FactorCase> {};
+
+TEST_P(CholeskyOracle, FactorSolveInverseLogDetAreBitIdentical) {
+  const FactorCase c = GetParam();
+  const Matrix a = make_spd(c.kind, c.n, c.seed);
+  const Matrix l_oracle = crout_oracle(a);
+  const Cholesky chol(a);
+
+  const Matrix l = chol.l();
+  ASSERT_EQ(l.rows(), c.n);
+  ASSERT_EQ(l.cols(), c.n);
+  expect_bit_identical(l.data(), l_oracle.data(), "factor");
+
+  std::mt19937_64 rng(c.seed ^ 0x5eedULL);
+  std::normal_distribution<double> normal;
+  Vector b(c.n);
+  for (double& v : b) v = normal(rng);
+  expect_bit_identical(chol.solve(b), solve_oracle(l_oracle, b), "solve");
+
+  Matrix inv_oracle(c.n, c.n);
+  for (std::size_t j = 0; j < c.n; ++j) {
+    Vector e(c.n, 0.0);
+    e[j] = 1.0;
+    const Vector col = solve_oracle(l_oracle, e);
+    for (std::size_t i = 0; i < c.n; ++i) inv_oracle(i, j) = col[i];
+  }
+  expect_bit_identical(chol.inverse().data(), inv_oracle.data(), "inverse");
+
+  double log_det = 0.0;
+  for (std::size_t i = 0; i < c.n; ++i) log_det += std::log(l_oracle(i, i));
+  log_det *= 2.0;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(chol.log_det()),
+            std::bit_cast<std::uint64_t>(log_det));
+}
+
+INSTANTIATE_TEST_SUITE_P(PanelBoundaries, CholeskyOracle,
+                         ::testing::ValuesIn(factor_cases()), case_name);
+
+TEST(CholeskyOracle, NonPositiveDefiniteThrowsTheSeedMessage) {
+  constexpr std::size_t nb = Cholesky::kPanelRows;
+  std::vector<Matrix> inputs = {
+      Matrix{{1.0, 2.0}, {2.0, 1.0}},
+      Matrix{{-4.0}},
+      Matrix{{0.0, 0.0}, {0.0, 1.0}},
+      Matrix{{std::nan("")}},
+  };
+  // Pivots that fail in the first panel, on a panel's first row, and in a
+  // trailing row two panels in.
+  for (std::size_t column : {std::size_t{5}, nb, 2 * nb + 1}) {
+    Matrix a = make_spd(SpdKind::kRbf, 2 * nb + 3, 3);
+    a(column, column) = -1.0;
+    inputs.push_back(std::move(a));
+  }
+  for (const Matrix& a : inputs) {
+    const std::string want = numeric_error_message([&] { crout_oracle(a); });
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(numeric_error_message([&] { Cholesky{a}; }), want);
+  }
+}
+
+TEST(CholeskyOracle, AsymmetricInputIsRejected) {
+  EXPECT_THROW((Cholesky{Matrix{{1.0, 2.0}, {0.0, 1.0}}}), InvalidArgument);
+  Matrix a = make_spd(SpdKind::kRbf, 2 * Cholesky::kPanelRows + 3, 1);
+  a(3, 2 * Cholesky::kPanelRows + 1) += 1e-3;
+  EXPECT_THROW(Cholesky{a}, InvalidArgument);
 }
 
 TEST(Woodbury, MatchesDirectInverse) {

@@ -159,6 +159,33 @@ TEST_P(MicrokernelIdentity, KernelRowsMatchPairwiseOracleOnEveryIsa) {
   }
 }
 
+TEST_P(MicrokernelIdentity, RankUpdateMatchesPerElementOracleOnEveryIsa) {
+  // Shape s: kk = s.k panel rows of width s.n + s.m (so the 16-, 4- and
+  // 1-column tails are all hit), row stride padded past the width.
+  for (const Shape& s : kShapes) {
+    const std::size_t n = s.n + s.m;
+    const std::size_t ldx = n + 3;
+    const Vector a = random_vector(s.k, GetParam() ^ 0x4242ULL);
+    const Vector x = random_vector(s.k * ldx, GetParam() ^ 0x1717ULL);
+    const Vector y0 = random_vector(n, GetParam() ^ 0x2323ULL);
+    Vector oracle = y0;
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = oracle[j];
+      for (std::size_t p = 0; p < s.k; ++p) acc += a[p] * x[p * ldx + j];
+      oracle[j] = acc;
+    }
+    for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
+      ScopedIsa pin(isa);
+      if (!pin.available()) continue;
+      Vector y = y0;
+      linalg::microkernels().rank_update(a.data(), x.data(), ldx, s.k,
+                                         y.data(), n);
+      for (std::size_t j = 0; j < n; ++j)
+        EXPECT_EQ(y[j], oracle[j]) << linalg::isa_name(isa) << " column " << j;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(MultiSeed, MicrokernelIdentity,
                          ::testing::ValuesIn(kSeeds));
 
