@@ -16,10 +16,12 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <span>
 
 #include "bench/bench_common.h"
 #include "core/linear_horizontal.h"
 #include "crypto/grouped_ring.h"
+#include "crypto/prng.h"
 #include "core/mapreduce_adapter.h"
 #include "data/partition.h"
 #include "linalg/blas.h"
@@ -318,6 +320,40 @@ FactorStats run_factor_cell() {
   return stats;
 }
 
+/// The keystream half of the SIMD head-to-head: lv-shaped per-round mask
+/// expansion (7 peers x 20 000 words per party, 8 parties, 4 rounds) through
+/// ChaCha20Stream::fill, scalar-pinned and then dispatched.
+struct KeystreamStats {
+  double scalar_seconds = 0.0;
+  double dispatch_seconds = 0.0;
+  std::size_t words_differ = 0;  ///< must be 0 (bit-identity)
+};
+
+KeystreamStats run_keystream_cell() {
+  constexpr std::size_t kStreams = 4 * 8 * 7;  // rounds x parties x peers
+  constexpr std::size_t kWords = 20000;
+  const auto run_once = [&](std::vector<std::uint64_t>& out) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      crypto::ChaCha20Stream prg(0x5EEDULL + s / 4, s % 4);
+      prg.fill(std::span(out).subspan(s * kWords, kWords));
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  std::vector<std::uint64_t> scalar(kStreams * kWords);
+  std::vector<std::uint64_t> dispatch(kStreams * kWords);
+  KeystreamStats stats;
+  linalg::force_isa(linalg::Isa::kScalar);
+  stats.scalar_seconds = run_once(scalar);
+  linalg::clear_forced_isa();
+  stats.dispatch_seconds = run_once(dispatch);
+  for (std::size_t i = 0; i < scalar.size(); ++i)
+    stats.words_differ += scalar[i] != dispatch[i];
+  return stats;
+}
+
 /// The HIGGS-scale row: n = 10^6 synthetic-HIGGS rows as a full cluster job
 /// with a blockstore budget far below the serialized shards, so the map
 /// phase streams spilled partitions off mmap. The matrix-free factored dual
@@ -501,8 +537,9 @@ int main() {
   }
 
   // SIMD microkernel head-to-head: scalar-pinned vs runtime-dispatched on
-  // the dense primitives and on the Cholesky factor and solves. Outputs are
-  // asserted bit-identical — only the wall time may move.
+  // the dense primitives, the Cholesky factor and solves, and the ChaCha20
+  // mask keystream. Outputs are asserted bit-identical — only the wall time
+  // may move.
   {
     std::printf("\n## SIMD microkernels: scalar vs dispatched (gemm_nt + RBF "
                 "gram, bit-identity enforced)\n");
@@ -534,6 +571,19 @@ int main() {
                    f.bits_differ);
       return 1;
     }
+    std::printf("\n## ChaCha20 keystream: scalar vs dispatched (8 parties x "
+                "7 peers x 20 000 words x 4 rounds, bit-identity enforced)\n");
+    const KeystreamStats ks = run_keystream_cell();
+    std::printf("%12s %14s %12s\n", "scalar_s", "dispatch_s", "words_differ");
+    std::printf("%12.4f %14.4f %12zu\n", ks.scalar_seconds,
+                ks.dispatch_seconds, ks.words_differ);
+    if (ks.words_differ != 0) {
+      std::fprintf(stderr,
+                   "FATAL: dispatched keystream differs from scalar in %zu "
+                   "words\n",
+                   ks.words_differ);
+      return 1;
+    }
     obs::JsonValue simd = obs::JsonValue::object();
     simd.set("isa", s.isa);
     simd.set("scalar_seconds", s.scalar_seconds);
@@ -546,6 +596,9 @@ int main() {
     simd.set("cholesky_scalar_solve40_seconds", f.scalar_solve40_seconds);
     simd.set("cholesky_dispatch_solve40_seconds", f.dispatch_solve40_seconds);
     simd.set("cholesky_bits_differ_vs_scalar", f.bits_differ);
+    simd.set("keystream_scalar_seconds", ks.scalar_seconds);
+    simd.set("keystream_dispatch_seconds", ks.dispatch_seconds);
+    simd.set("keystream_words_differ_vs_scalar", ks.words_differ);
     report.set("simd", std::move(simd));
   }
 

@@ -56,8 +56,11 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/microkernel_test
 ./build-asan/tests/privacy_ledger_test
 # crypto_test drives the u128 modular arithmetic (single-multiply mulmod
 # below 2^64, bit-serial above) against in-test oracles — UBSan watches
-# the wide shifts and products.
+# the wide shifts and products. It runs once dispatched and once pinned to
+# the scalar table, so the 8-block AVX2 keystream's unaligned stores into
+# fill()'s output run under ASan next to the scalar reference.
 ./build-asan/tests/crypto_test
+PPML_FORCE_ISA=scalar ./build-asan/tests/crypto_test
 
 # Bench smoke: skip the timed google-benchmark cases (empty filter), run
 # only the cache-budget sweep, and require a parseable report with the

@@ -3,7 +3,15 @@
 #include <bit>
 #include <cstring>
 
+#include "linalg/microkernel.h"
+
 namespace ppml::crypto {
+
+#if defined(PPML_HAVE_AVX2)
+// Defined in chacha20_avx2.cpp (compiled with -mavx2).
+void chacha20_blocks8_avx2(const std::uint32_t* input, std::size_t batches,
+                           std::uint64_t* out) noexcept;
+#endif
 
 std::uint64_t SplitMix64::next() {
   std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
@@ -108,7 +116,21 @@ std::uint64_t ChaCha20Stream::next_u64() {
 }
 
 void ChaCha20Stream::fill(std::span<std::uint64_t> out) {
-  for (auto& word : out) word = next_u64();
+  std::size_t i = 0;
+  // Use up the block next_u64 left part-read (cursor_ is always even).
+  while (i < out.size() && cursor_ < 16) out[i++] = next_u64();
+#if defined(PPML_HAVE_AVX2)
+  // Whole 8-block batches straight into `out`, when the dispatch seam runs
+  // at AVX2. They continue the counter sequence the scalar path would use.
+  constexpr std::size_t kBatchWords = 64;  // 8 blocks x 16 words / 2
+  const std::size_t batches = (out.size() - i) / kBatchWords;
+  if (batches > 0 && linalg::active_isa() == linalg::Isa::kAvx2) {
+    chacha20_blocks8_avx2(input_.data(), batches, out.data() + i);
+    input_[12] += static_cast<std::uint32_t>(8 * batches);
+    i += batches * kBatchWords;
+  }
+#endif
+  for (; i < out.size(); ++i) out[i] = next_u64();
 }
 
 }  // namespace ppml::crypto

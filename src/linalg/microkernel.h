@@ -21,6 +21,11 @@
 // every ISA level is bit-identical to the naive oracles. A single reduction
 // (linalg::dot) cannot be vectorized under that contract and stays scalar.
 //
+// The seam has a second user outside linalg: crypto::ChaCha20Stream::fill
+// (crypto/prng.h) reads active_isa() to choose its 8-block AVX2 keystream
+// (crypto/chacha20_avx2.cpp), which is bit-identical to the scalar RFC 8439
+// block function. Forcing a level pins both.
+//
 // Pinning: set PPML_FORCE_ISA=scalar|avx2 in the environment, or call
 // force_isa() (svm::TrainOptions::force_isa routes here). The selected level
 // is logged once to stderr so perf numbers are attributable to an ISA.

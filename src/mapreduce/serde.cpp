@@ -90,9 +90,20 @@ void Writer::put_matrix(const linalg::Matrix& m) {
 }
 
 void Reader::require(std::size_t n) {
-  if (cursor_ + n > data_.size()) {
+  // Compared against remaining() rather than as cursor_ + n, which a huge
+  // length read off the wire could wrap.
+  if (n > remaining()) {
     throw Error("serde: truncated message (need " + std::to_string(n) +
                 " bytes, have " + std::to_string(remaining()) + ")");
+  }
+}
+
+void Reader::require_words(std::uint64_t rows, std::uint64_t cols) {
+  // Checked by division: rows * cols * 8 could wrap to a small number.
+  if (cols != 0 && rows > remaining() / 8 / cols) {
+    throw Error("serde: truncated message (need " + std::to_string(rows) +
+                " x " + std::to_string(cols) + " 8-byte words, have " +
+                std::to_string(remaining()) + " bytes)");
   }
 }
 
@@ -140,7 +151,7 @@ Bytes Reader::get_bytes() {
 
 std::vector<std::uint64_t> Reader::get_u64_vector() {
   const std::uint64_t n = get_u64();
-  require(n * 8);
+  require_words(n);
   std::vector<std::uint64_t> v(n);
   for (auto& x : v) x = get_u64();
   return v;
@@ -148,7 +159,7 @@ std::vector<std::uint64_t> Reader::get_u64_vector() {
 
 std::vector<double> Reader::get_double_vector() {
   const std::uint64_t n = get_u64();
-  require(n * 8);
+  require_words(n);
   std::vector<double> v(n);
   for (auto& x : v) x = get_double();
   return v;
@@ -157,7 +168,7 @@ std::vector<double> Reader::get_double_vector() {
 linalg::Matrix Reader::get_matrix() {
   const std::uint64_t rows = get_u64();
   const std::uint64_t cols = get_u64();
-  require(rows * cols * 8);
+  require_words(rows, cols);
   linalg::Matrix m(rows, cols);
   for (double& x : m.data()) x = get_double();
   return m;

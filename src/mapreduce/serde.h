@@ -83,6 +83,8 @@ class Reader {
 
  private:
   void require(std::size_t n);
+  /// Throws unless rows * cols 8-byte words remain (no overflow).
+  void require_words(std::uint64_t rows, std::uint64_t cols = 1);
 
   std::span<const std::uint8_t> data_;
   std::size_t cursor_ = 0;

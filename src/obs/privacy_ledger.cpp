@@ -34,12 +34,31 @@ std::size_t round_up_pow2(std::size_t n) {
 // only distinguish two concrete plaintexts under the same pad (an audit
 // equality check, not an adversarial hash), but they sit on the hot
 // masking path next to the ChaCha expansion — mix64 per element would be
-// a measurable fraction of the work being audited. Order- and
-// bit-sensitive; the final mix64 avalanches the tail.
+// a measurable fraction of the work being audited.
 std::uint64_t fp_accumulate(std::uint64_t h, std::uint64_t w) {
   h ^= w;
   h *= 0x9E3779B97F4A7C15ULL;
   return (h << 27) | (h >> 37);
+}
+
+// Word i feeds chain i mod 4, so four multiply chains overlap instead of
+// one running at multiply latency: next to the vectorized keystream, one
+// chain alone would use most of the ledger's few-percent overhead budget
+// (bench/crypto_overhead). Order- and bit-sensitive (the chains start from
+// distinct states and are folded in a fixed order); the final mix64 chain
+// avalanches the tail.
+template <typename Word>
+std::uint64_t fp_chains(std::uint64_t seed, std::span<const Word> words) {
+  std::uint64_t h[4] = {seed, seed + 1, seed + 2, seed + 3};
+  std::size_t i = 0;
+  for (; i + 4 <= words.size(); i += 4)
+    for (std::size_t c = 0; c < 4; ++c)
+      h[c] = fp_accumulate(h[c], std::bit_cast<std::uint64_t>(words[i + c]));
+  for (; i < words.size(); ++i)
+    h[i % 4] = fp_accumulate(h[i % 4], std::bit_cast<std::uint64_t>(words[i]));
+  std::uint64_t out = words.size();
+  for (const std::uint64_t chain : h) out = mix64(out ^ chain);
+  return out;
 }
 
 std::string hex(std::uint64_t v) {
@@ -70,17 +89,12 @@ std::uint64_t PrivacyLedger::pad_key(std::uint64_t pad_seed, std::size_t round,
 }
 
 std::uint64_t PrivacyLedger::fingerprint(std::span<const double> values) {
-  std::uint64_t h = 0x517CC1B727220A95ULL;
-  for (double v : values)
-    h = fp_accumulate(h, std::bit_cast<std::uint64_t>(v));
-  return mix64(h ^ values.size());
+  return fp_chains(0x517CC1B727220A95ULL, values);
 }
 
 std::uint64_t PrivacyLedger::fingerprint_words(
     std::span<const std::uint64_t> words) {
-  std::uint64_t h = 0x2545F4914F6CDD1DULL;
-  for (std::uint64_t w : words) h = fp_accumulate(h, w);
-  return mix64(h ^ words.size());
+  return fp_chains(0x2545F4914F6CDD1DULL, words);
 }
 
 std::uint64_t PrivacyLedger::combine(std::uint64_t h, std::uint64_t next) {

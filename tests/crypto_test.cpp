@@ -3,6 +3,8 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "crypto/dh.h"
 #include "crypto/fixed_point.h"
@@ -11,6 +13,8 @@
 #include "crypto/prng.h"
 #include "crypto/secret_sharing.h"
 #include "crypto/secure_sum.h"
+#include "crypto/secure_sum_session.h"
+#include "linalg/microkernel.h"
 
 namespace ppml::crypto {
 namespace {
@@ -47,16 +51,22 @@ TEST(Prng, XoshiroDoubleInUnitInterval) {
   }
 }
 
-TEST(Prng, ChaChaRfc8439BlockOne) {
-  // RFC 8439 §2.3.2 test vector: key = 00 01 02 ... 1f, nonce =
-  // 00:00:00:09:00:00:00:4a:00:00:00:00, counter = 1. Our stream starts at
-  // counter 0, so skip the first block (8 u64 draws) and check block 1's
-  // first words: state[0..3] = 0xe4e7f110 0x15593bd1 0x1fdd0f50 0xc47120a3.
+/// The RFC 8439 §2.3.2 key (00 01 02 ... 1f) and nonce
+/// (00:00:00:09:00:00:00:4a:00:00:00:00).
+ChaCha20Stream rfc8439_stream() {
   std::array<std::uint8_t, 32> key{};
   for (int i = 0; i < 32; ++i) key[static_cast<std::size_t>(i)] =
       static_cast<std::uint8_t>(i);
-  std::array<std::uint8_t, 12> nonce{0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 0};
-  ChaCha20Stream stream(key, nonce);
+  const std::array<std::uint8_t, 12> nonce{0, 0, 0, 9, 0, 0, 0, 0x4a,
+                                           0, 0, 0, 0};
+  return ChaCha20Stream(key, nonce);
+}
+
+TEST(Prng, ChaChaRfc8439BlockOne) {
+  // RFC 8439 §2.3.2 test vector, counter = 1. Our stream starts at
+  // counter 0, so skip the first block (8 u64 draws) and check block 1's
+  // first words: state[0..3] = 0xe4e7f110 0x15593bd1 0x1fdd0f50 0xc47120a3.
+  ChaCha20Stream stream = rfc8439_stream();
   for (int i = 0; i < 8; ++i) stream.next_u64();  // discard block 0
   const std::uint64_t w01 = stream.next_u64();
   const std::uint64_t w23 = stream.next_u64();
@@ -73,6 +83,132 @@ TEST(Prng, ChaChaStreamsDifferByStreamId) {
   EXPECT_NE(va, c.next_u64());
   ChaCha20Stream a2(123, 0);
   EXPECT_EQ(va, a2.next_u64());
+}
+
+// --- ChaCha20Stream::fill at every ISA level ---------------------------------
+// fill() runs the 8-block AVX2 keystream when the dispatch seam selects it;
+// next_u64() is always the scalar RFC 8439 block function. Every test below
+// pins fill() against next_u64() word for word, once per available level.
+
+/// Runs `body` once per ISA level this binary and CPU can run, with the
+/// dispatcher pinned to it; restores automatic selection afterwards.
+template <typename Body>
+void for_each_isa(Body body) {
+  for (const linalg::Isa isa : {linalg::Isa::kScalar, linalg::Isa::kAvx2}) {
+    if (!linalg::isa_available(isa)) continue;
+    linalg::force_isa(isa);
+    SCOPED_TRACE(linalg::isa_name(isa));
+    body();
+  }
+  linalg::clear_forced_isa();
+}
+
+std::vector<std::uint64_t> scalar_words(ChaCha20Stream& stream,
+                                        std::size_t n) {
+  std::vector<std::uint64_t> out(n);
+  for (auto& word : out) word = stream.next_u64();
+  return out;
+}
+
+TEST(ChaChaFill, MatchesScalarStreamAtEveryLength) {
+  for_each_isa([] {
+    for (const std::size_t n :
+         {0, 1, 7, 8, 63, 64, 65, 127, 128, 129, 20000}) {
+      ChaCha20Stream reference(0xC0FFEEULL + n, 17);
+      ChaCha20Stream stream(0xC0FFEEULL + n, 17);
+      std::vector<std::uint64_t> out(n);
+      stream.fill(out);
+      EXPECT_EQ(out, scalar_words(reference, n)) << "n=" << n;
+      // Both streams must leave off at the same word.
+      EXPECT_EQ(stream.next_u64(), reference.next_u64()) << "n=" << n;
+    }
+  });
+}
+
+TEST(ChaChaFill, MidBlockStartMatchesScalar) {
+  for_each_isa([] {
+    for (const std::size_t skip : {1, 3, 7, 8, 9, 15}) {
+      ChaCha20Stream reference(99, skip);
+      ChaCha20Stream stream(99, skip);
+      for (std::size_t i = 0; i < skip; ++i)
+        ASSERT_EQ(stream.next_u64(), reference.next_u64());
+      std::vector<std::uint64_t> out(300);
+      stream.fill(out);
+      EXPECT_EQ(out, scalar_words(reference, out.size())) << "skip=" << skip;
+    }
+  });
+}
+
+TEST(ChaChaFill, ConsecutiveFillsMatchScalar) {
+  for_each_isa([] {
+    ChaCha20Stream reference(0xABCDEF, 3);
+    ChaCha20Stream stream(0xABCDEF, 3);
+    for (const std::size_t n : {5, 64, 130, 1, 64, 200, 0, 63, 1000}) {
+      std::vector<std::uint64_t> out(n);
+      stream.fill(out);
+      EXPECT_EQ(out, scalar_words(reference, n)) << "n=" << n;
+    }
+  });
+}
+
+TEST(ChaChaFill, Rfc8439BlockOneFromBatchPath) {
+  // RFC 8439 §2.3.2 (block counter 1), read as words 8..15 of one 128-word
+  // fill, so on AVX2 hosts it comes out of the 8-block batch.
+  constexpr std::array<std::uint32_t, 16> kBlockOne = {
+      0xe4e7f110u, 0x15593bd1u, 0x1fdd0f50u, 0xc47120a3u,
+      0xc7f4d1c7u, 0x0368c033u, 0x9aaa2204u, 0x4e6cd4c3u,
+      0x466482d2u, 0x09aa9f07u, 0x05d7c214u, 0xa2028bd9u,
+      0xd19c12b5u, 0xb94e16deu, 0xe883d0cbu, 0x4e3c50a2u};
+  for_each_isa([&] {
+    ChaCha20Stream stream = rfc8439_stream();
+    std::vector<std::uint64_t> out(128);
+    stream.fill(out);
+    for (std::size_t w = 0; w < 8; ++w) {
+      const std::uint64_t expected =
+          kBlockOne[2 * w] |
+          (static_cast<std::uint64_t>(kBlockOne[2 * w + 1]) << 32);
+      EXPECT_EQ(out[8 + w], expected) << "word " << w;
+    }
+  });
+}
+
+/// FNV-1a over a sequence of words, each little-endian, continuing from `h`.
+std::uint64_t fnv1a_words(std::uint64_t h, std::span<const std::uint64_t> v) {
+  for (std::uint64_t w : v)
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  return h;
+}
+
+TEST(ChaChaFill, SessionContributeDigestPinned) {
+  // Recorded from the scalar-only keystream (one RFC 8439 block per
+  // refill): every party's masked wire vector at M=8, width 20 000, rounds
+  // 0-2. Any ISA level that moves one mask bit moves this digest.
+  constexpr std::size_t kParties = 8;
+  constexpr std::size_t kWidth = 20000;
+  SecureSumConfig config;
+  config.num_parties = kParties;
+  config.protocol_seed = 0x5EED14ULL;
+  std::vector<std::vector<double>> values(kParties,
+                                          std::vector<double>(kWidth));
+  Xoshiro256 rng(14);
+  for (auto& row : values)
+    for (double& x : row) x = (rng.next_double() - 0.5) * 8.0;
+  std::vector<std::size_t> everyone(kParties);
+  for (std::size_t i = 0; i < kParties; ++i) everyone[i] = i;
+  for_each_isa([&] {
+    SecureSumSession session(config);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t round = 0; round < 3; ++round)
+      for (std::size_t i = 0; i < kParties; ++i) {
+        const SecureSumSession::Tensor tensor(values[i]);
+        h = fnv1a_words(h, session.contribute(i, {&tensor, 1}, round,
+                                              everyone));
+      }
+    EXPECT_EQ(h, 0x354131C9AB8DA384ULL);
+  });
 }
 
 TEST(FixedPoint, RoundTripPreservesValues) {
@@ -443,12 +579,7 @@ TEST(SecureSum, PairwiseSeedsSymmetric) {
 /// FNV-1a over the matrix words, row-major, each word little-endian.
 std::uint64_t fnv1a(const std::vector<std::vector<std::uint64_t>>& matrix) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& row : matrix)
-    for (std::uint64_t w : row)
-      for (int b = 0; b < 8; ++b) {
-        h ^= (w >> (8 * b)) & 0xFF;
-        h *= 0x100000001b3ULL;
-      }
+  for (const auto& row : matrix) h = fnv1a_words(h, row);
   return h;
 }
 

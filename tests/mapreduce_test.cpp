@@ -59,6 +59,52 @@ TEST(Serde, TruncatedInputThrows) {
   EXPECT_THROW(reader2.get_u64(), Error);
 }
 
+// Hostile 16-byte payloads whose declared lengths wrap the byte arithmetic
+// (n * 8, rows * cols * 8, cursor + n) to a small number. Each reader must
+// throw a ppml::Error before allocating or reading past the payload — not
+// bad_alloc, not length_error.
+Bytes two_words(std::uint64_t first, std::uint64_t second) {
+  Writer writer;
+  writer.put_u64(first);
+  writer.put_u64(second);
+  return writer.take();
+}
+
+TEST(Serde, WrappingVectorLengthThrows) {
+  const Bytes payload = two_words(1ULL << 61, 7);  // 2^61 * 8 wraps to 0
+  ASSERT_EQ(payload.size(), 16u);
+  Reader u64s(payload);
+  EXPECT_THROW(u64s.get_u64_vector(), Error);
+  Reader doubles(payload);
+  EXPECT_THROW(doubles.get_double_vector(), Error);
+}
+
+TEST(Serde, WrappingStringLengthThrows) {
+  const Bytes payload = two_words(~0ULL, 7);  // cursor 8 + n wraps to 7
+  ASSERT_EQ(payload.size(), 16u);
+  Reader string(payload);
+  EXPECT_THROW(string.get_string(), Error);
+  Reader bytes(payload);
+  EXPECT_THROW(bytes.get_bytes(), Error);
+}
+
+TEST(Serde, WrappingMatrixShapeThrows) {
+  // rows * cols * 8 = 2^67 wraps to 0.
+  const Bytes payload = two_words(1ULL << 33, 1ULL << 31);
+  ASSERT_EQ(payload.size(), 16u);
+  Reader reader(payload);
+  EXPECT_THROW(reader.get_matrix(), Error);
+  // A shape that fits exactly still parses; one word short does not.
+  Writer writer;
+  writer.put_matrix(linalg::Matrix{{1, 2, 3}, {4, 5, 6}});
+  Bytes exact = writer.take();
+  Reader fits(exact);
+  EXPECT_EQ(fits.get_matrix(), (linalg::Matrix{{1, 2, 3}, {4, 5, 6}}));
+  exact.pop_back();
+  Reader short_by_one(exact);
+  EXPECT_THROW(short_by_one.get_matrix(), Error);
+}
+
 TEST(Serde, DoubleBitPatternPreserved) {
   Writer writer;
   writer.put_double(-0.0);
