@@ -132,7 +132,7 @@ BENCHMARK(BM_DhKeyAgreement)->Arg(4)->Arg(16)->Arg(128);
 constexpr std::size_t kLedgerParties = 16;
 constexpr std::size_t kLedgerDim = 2048;
 constexpr std::size_t kLedgerRounds = 12;
-constexpr std::size_t kLedgerReps = 9;
+constexpr std::size_t kLedgerPairs = 121;
 constexpr double kLedgerBudgetPct = 3.0;
 
 /// One consensus-style run: every party contributes a batched masked vector
@@ -162,12 +162,11 @@ std::pair<double, std::vector<double>> consensus_run(
   return {wall, std::move(average)};
 }
 
-// Min-of-N: scheduler and frequency jitter only ever ADD time, so the
-// minimum is the stable estimator of each arm's systematic cost — a median
-// at this scale (tens of ms per rep) still carries several percent of
-// container noise, more than the overhead being measured.
-double best(const std::vector<double>& xs) {
-  return *std::min_element(xs.begin(), xs.end());
+double median(std::vector<double> xs) {
+  const std::size_t mid = xs.size() / 2;
+  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(mid),
+                   xs.end());
+  return xs[mid];
 }
 
 int run_ledger_overhead_cell() {
@@ -181,17 +180,21 @@ int run_ledger_overhead_cell() {
   config.num_parties = kLedgerParties;
   config.protocol_seed = 0x1ED6E5;
 
-  // Interleave off/on reps so thermal / frequency drift hits both arms.
-  std::vector<double> off_walls, on_walls;
+  // Paired estimator: each pair runs both arms back to back, alternating
+  // which goes first, so drift over the run and any order effect cancel
+  // within a pair; the median of the per-pair ratios over many pairs
+  // discards the pairs in which a burst of host noise hit one arm only.
+  std::vector<double> off_walls, on_walls, ratios;
   std::vector<double> off_sum, on_sum;
   std::uint64_t pads_recorded = 0, pads_distinct = 0;
-  for (std::size_t rep = 0; rep < kLedgerReps; ++rep) {
-    {
-      crypto::SecureSumSession session(config);
-      auto [wall, average] = consensus_run(session, values);
-      off_walls.push_back(wall);
-      off_sum = std::move(average);
-    }
+  const auto run_off = [&] {
+    crypto::SecureSumSession session(config);
+    auto [wall, average] = consensus_run(session, values);
+    off_walls.push_back(wall);
+    off_sum = std::move(average);
+  };
+  for (std::size_t pair = 0; pair < kLedgerPairs; ++pair) {
+    if (pair % 2 == 0) run_off();
     {
       obs::PrivacyLedger ledger;
       obs::Session obs_session(nullptr, nullptr, nullptr, &ledger);
@@ -207,18 +210,19 @@ int run_ledger_overhead_cell() {
         return 1;
       }
     }
+    if (pair % 2 == 1) run_off();
+    ratios.push_back(on_walls.back() / off_walls.back());
   }
 
   const bool bit_identical = off_sum == on_sum;
-  const double off_wall = best(off_walls);
-  const double on_wall = best(on_walls);
-  const double overhead_pct =
-      off_wall > 0.0 ? (on_wall / off_wall - 1.0) * 100.0 : 0.0;
+  const double off_wall = median(off_walls);
+  const double on_wall = median(on_walls);
+  const double overhead_pct = (median(ratios) - 1.0) * 100.0;
 
-  std::printf("\n# privacy ledger cell: M=%zu dim=%zu rounds=%zu\n",
-              kLedgerParties, kLedgerDim, kLedgerRounds);
-  std::printf("# ledger off %.4fs, on %.4fs -> overhead %.2f%% "
-              "(budget %.1f%%), bit_identical=%d\n",
+  std::printf("\n# privacy ledger cell: M=%zu dim=%zu rounds=%zu pairs=%zu\n",
+              kLedgerParties, kLedgerDim, kLedgerRounds, kLedgerPairs);
+  std::printf("# ledger off %.4fs, on %.4fs (medians) -> overhead %.2f%% "
+              "(median paired ratio, budget %.1f%%), bit_identical=%d\n",
               off_wall, on_wall, overhead_pct, kLedgerBudgetPct,
               bit_identical ? 1 : 0);
 

@@ -12,6 +12,7 @@
 // instrumented M=4 run. The sweeps themselves run WITHOUT an observability
 // session, so the reported wall times exercise (and measure) the disabled
 // instrumentation path.
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -27,6 +28,7 @@
 #include "linalg/blas.h"
 #include "linalg/cholesky.h"
 #include "linalg/microkernel.h"
+#include "mapreduce/serde.h"
 #include "obs/obs.h"
 #include "obs/report.h"
 #include "svm/kernel.h"
@@ -354,6 +356,108 @@ KeystreamStats run_keystream_cell() {
   return stats;
 }
 
+/// The fabric cell: the per-byte and per-word costs of the driver's byte
+/// path at lv's contribution width (20 000 words). crc32() is checked
+/// against the byte-at-a-time table loop below, which is also its
+/// reference timing; the serde round trip must give the words back.
+struct FabricStats {
+  double crc32_ns_per_byte = 0.0;
+  double crc32_bytewise_ns_per_byte = 0.0;
+  double encode_ns_per_word = 0.0;
+  double decode_ns_per_word = 0.0;
+  std::size_t crc_differs = 0;  ///< must be 0 (bit-identity)
+  bool round_trip_ok = false;
+};
+
+volatile std::uint32_t fabric_sink = 0;
+
+/// One table lookup per byte: the classic reflected CRC-32 loop.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) c = table[(c ^ byte) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+FabricStats run_fabric_cell() {
+  constexpr std::size_t kWidth = 20000;
+  constexpr std::size_t kReps = 200;
+  constexpr int kTrials = 5;
+  std::vector<std::uint64_t> words(kWidth);
+  std::mt19937_64 rng(17);
+  for (auto& w : words) w = rng();
+  mapreduce::Writer frame_writer;
+  frame_writer.put_u64_vector(words);
+  const mapreduce::Bytes payload = frame_writer.take();
+
+  // Best of kTrials: scheduler noise only ever adds time.
+  const auto best_seconds = [&](const auto& body) {
+    double best = 0.0;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      const auto start = std::chrono::steady_clock::now();
+      body();
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+      if (trial == 0 || seconds < best) best = seconds;
+    }
+    return best;
+  };
+  FabricStats stats;
+  std::uint32_t sink = 0;
+  const double bytes = static_cast<double>(kReps * payload.size());
+  stats.crc32_ns_per_byte = best_seconds([&] {
+                              for (std::size_t r = 0; r < kReps; ++r)
+                                sink ^= mapreduce::crc32(payload);
+                            }) * 1e9 / bytes;
+  stats.crc32_bytewise_ns_per_byte = best_seconds([&] {
+                                       for (std::size_t r = 0; r < kReps; ++r)
+                                         sink ^= crc32_bytewise(payload);
+                                     }) * 1e9 / bytes;
+  // Identity: the whole frame, then every length 0..64 at every start 0..7.
+  const std::span<const std::uint8_t> all(payload);
+  stats.crc_differs += mapreduce::crc32(all) != crc32_bytewise(all);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const auto piece = all.subspan(offset, length);
+      stats.crc_differs += mapreduce::crc32(piece) != crc32_bytewise(piece);
+    }
+
+  const double n_words = static_cast<double>(kReps * kWidth);
+  mapreduce::Bytes encoded;
+  stats.encode_ns_per_word =
+      best_seconds([&] {
+        for (std::size_t r = 0; r < kReps; ++r) {
+          mapreduce::Writer writer;
+          writer.reserve(mapreduce::wire_size_words(kWidth));
+          writer.put_u64_vector(words);
+          encoded = writer.take();
+          sink ^= encoded[r % encoded.size()];
+        }
+      }) * 1e9 / n_words;
+  std::vector<std::uint64_t> decoded;
+  stats.decode_ns_per_word =
+      best_seconds([&] {
+        for (std::size_t r = 0; r < kReps; ++r) {
+          mapreduce::Reader reader(encoded);
+          decoded = reader.get_u64_vector();
+          sink ^= static_cast<std::uint32_t>(decoded[r % kWidth]);
+        }
+      }) * 1e9 / n_words;
+  stats.round_trip_ok = encoded == payload && decoded == words;
+  fabric_sink = sink;  // keeps the timed loops from being optimized away
+  return stats;
+}
+
 /// The HIGGS-scale row: n = 10^6 synthetic-HIGGS rows as a full cluster job
 /// with a blockstore budget far below the serialized shards, so the map
 /// phase streams spilled partitions off mmap. The matrix-free factored dual
@@ -600,6 +704,35 @@ int main() {
     simd.set("keystream_dispatch_seconds", ks.dispatch_seconds);
     simd.set("keystream_words_differ_vs_scalar", ks.words_differ);
     report.set("simd", std::move(simd));
+  }
+
+  // Fabric byte path: CRC-32 per byte (slicing-by-8 vs the byte-wise
+  // table loop) and serde per word at width 20 000. The CRC must equal the
+  // byte-wise reference and the serde round trip must be exact.
+  {
+    std::printf("\n## Fabric byte path: CRC-32 and serde at width 20 000 "
+                "(bit-identity enforced)\n");
+    const FabricStats f = run_fabric_cell();
+    std::printf("%14s %18s %14s %14s %12s\n", "crc_ns/byte",
+                "bytewise_ns/byte", "encode_ns/word", "decode_ns/word",
+                "crc_differs");
+    std::printf("%14.3f %18.3f %14.3f %14.3f %12zu\n", f.crc32_ns_per_byte,
+                f.crc32_bytewise_ns_per_byte, f.encode_ns_per_word,
+                f.decode_ns_per_word, f.crc_differs);
+    if (f.crc_differs != 0 || !f.round_trip_ok) {
+      std::fprintf(stderr,
+                   "FATAL: crc32 differs from the byte-wise loop in %zu "
+                   "cases, serde round trip %s\n",
+                   f.crc_differs, f.round_trip_ok ? "exact" : "BROKEN");
+      return 1;
+    }
+    obs::JsonValue fabric = obs::JsonValue::object();
+    fabric.set("crc32_ns_per_byte", f.crc32_ns_per_byte);
+    fabric.set("crc32_bytewise_ns_per_byte", f.crc32_bytewise_ns_per_byte);
+    fabric.set("serde_encode_ns_per_word", f.encode_ns_per_word);
+    fabric.set("serde_decode_ns_per_word", f.decode_ns_per_word);
+    fabric.set("crc_differs_vs_bytewise", f.crc_differs);
+    report.set("fabric", std::move(fabric));
   }
 
   // HIGGS scale: the paper's headline n. One n=10^6 cluster job whose

@@ -17,7 +17,9 @@ get two very different treatments:
 
 * Time-like values — keys ending in `_s`/`_seconds`, containing `wall`,
   quantile keys like `p50`/`p95`/`p99`, throughput (`qps`, a pure
-  function of wall time), plus everything inside a
+  function of wall time), unit costs such as `crc32_ns_per_byte` (keys
+  containing `_ns_per_`; the slack below applies to them as given, in
+  nanoseconds), plus everything inside a
   `histograms` subtree (histogram sums accumulate in thread order, so
   their low bits are not reproducible) — only fail when they drift by
   more than TIME_RATIO x in either direction AND the absolute difference
@@ -47,7 +49,7 @@ TIME_ABS_SLACK = 0.25  # ...and the absolute drift is more than this (s)
 RSS_RATIO = 8.0  # peak RSS gates only on order-of-magnitude blowups
 PCT_CEILING = 3.5  # *_pct overhead keys fail only above this ceiling
 
-TIME_KEY = re.compile(r"(_s|seconds)$|wall|^p\d+$|^qps$|^speedup$")
+TIME_KEY = re.compile(r"(_s|seconds)$|wall|^p\d+$|^qps$|^speedup$|_ns_per_")
 
 # Informational keys: environment-dependent measurements that legitimately
 # differ between the machine that committed the baseline and the machine

@@ -5,10 +5,12 @@
 # full test suite, then the fault-tolerance-, observability- and
 # cache-critical suites again under AddressSanitizer +
 # UndefinedBehaviorSanitizer (the chaos, tracing, kernel-cache,
-# threaded-gemm and consensus-engine paths exercise threads, retries, spans
-# into LRU-managed storage and ring arithmetic — exactly where ASan/UBSan
-# earn their keep), bench smoke runs that check BENCH_qp.json and a
-# reduced-load BENCH_serving.json are well-formed (no performance gating),
+# threaded-gemm, consensus-engine and decoder-fuzz paths exercise threads,
+# retries, spans into LRU-managed storage, ring arithmetic and hostile
+# lengths — exactly where ASan/UBSan earn their keep), the race-clean
+# suites under ThreadSanitizer (build-tsan/), bench smoke runs that check
+# BENCH_qp.json and a reduced-load BENCH_serving.json are well-formed (no
+# performance gating),
 # a bench regression gate that diffs BENCH_fig4.json /
 # BENCH_scalability.json / BENCH_qp.json / BENCH_async.json /
 # BENCH_serving.json / BENCH_crypto.json against bench/baselines/ via
@@ -27,10 +29,16 @@ cmake -B build-asan -S . -DPPML_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$jobs" --target mapreduce_test chaos_test \
   dropout_recovery_test obs_test qp_test linalg_test microkernel_test \
   consensus_engine_test async_consensus_test grouped_ring_test serving_test \
-  privacy_ledger_test crypto_test
+  privacy_ledger_test crypto_test serde_fuzz_test property_test
 # mapreduce_test covers the out-of-core blockstore: spill/mmap/LRU paths
 # hand out spans into unlinked mapped files — ASan watches the lifetimes.
 ./build-asan/tests/mapreduce_test
+# serde_fuzz_test feeds mutated frames, shards and model files to every
+# decoder: hostile lengths against the bulk memcpy reads are exactly where
+# an out-of-bounds copy would hide. property_test round-trips random
+# payloads through the same reader.
+./build-asan/tests/serde_fuzz_test
+./build-asan/tests/property_test
 ./build-asan/tests/chaos_test
 ./build-asan/tests/dropout_recovery_test
 ./build-asan/tests/obs_test
@@ -61,6 +69,18 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/microkernel_test
 # fill()'s output run under ASan next to the scalar reference.
 ./build-asan/tests/crypto_test
 PPML_FORCE_ISA=scalar ./build-asan/tests/crypto_test
+
+# ThreadSanitizer over the suites that are race-clean today: the metrics
+# registry and flight ring (obs), the executor and fabric under faults
+# (chaos, mapreduce), the ledger's lock-free slot table and threaded gemm.
+cmake -B build-tsan -S . -DPPML_SANITIZE=thread >/dev/null
+cmake --build build-tsan -j"$jobs" --target obs_test chaos_test \
+  mapreduce_test privacy_ledger_test linalg_test
+./build-tsan/tests/obs_test
+./build-tsan/tests/chaos_test
+./build-tsan/tests/mapreduce_test
+./build-tsan/tests/privacy_ledger_test
+./build-tsan/tests/linalg_test
 
 # Bench smoke: skip the timed google-benchmark cases (empty filter), run
 # only the cache-budget sweep, and require a parseable report with the

@@ -17,6 +17,7 @@ namespace {
 
 Bytes serialize_doubles(const Vector& v) {
   Writer writer;
+  writer.reserve(mapreduce::wire_size_words(v.size()));
   writer.put_double_vector(v);
   return writer.take();
 }
@@ -94,6 +95,7 @@ class SecureConsensusMapper final : public mapreduce::IterativeMapper {
     for (std::size_t peer = 0; peer < sent_cache_.size(); ++peer) {
       if (peer == index_) continue;
       Writer writer;
+      writer.reserve(mapreduce::wire_size_words(sent_cache_[peer].size()));
       writer.put_u64_vector(sent_cache_[peer]);
       out.emplace_back(peer, writer.take());
     }
@@ -136,6 +138,7 @@ class SecureConsensusMapper final : public mapreduce::IterativeMapper {
                    : party_->masked_contribution(contribution, received, round);
     }
     Writer writer;
+    writer.reserve(mapreduce::wire_size_words(masked.size()));
     writer.put_u64_vector(masked);
     return writer.take();
   }
@@ -330,7 +333,12 @@ ClusterTrainResult run_consensus_on_cluster(
 }
 
 Bytes serialize_horizontal_shard(const data::Dataset& shard) {
+  // Exact size up front: the blockstore keeps this buffer for the whole
+  // job, so growth slack would be resident memory.
   Writer writer;
+  writer.reserve(mapreduce::wire_size_bytes(shard.name.size()) + 8 +
+                 mapreduce::wire_size_words(shard.x.size()) +
+                 mapreduce::wire_size_words(shard.y.size()));
   writer.put_string(shard.name);
   writer.put_matrix(shard.x);
   writer.put_double_vector(shard.y);
@@ -349,6 +357,7 @@ data::Dataset deserialize_horizontal_shard(mapreduce::BytesView payload) {
 
 Bytes serialize_vertical_block(const linalg::Matrix& block) {
   Writer writer;
+  writer.reserve(8 + mapreduce::wire_size_words(block.size()));
   writer.put_matrix(block);
   return writer.take();
 }

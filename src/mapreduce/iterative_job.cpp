@@ -178,7 +178,8 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
   // Per-job fault accounting: the fabric's totals are cluster-lifetime.
   const FaultStats faults_before = network.fault_stats();
 
-  // Verified delivery of one phase's CRC-framed messages: send everything
+  // Verified delivery of one phase's CRC-framed messages (`frame` builds
+  // one pending key's frame with crc_frame): send everything
   // still pending, close the phase, drain the destinations, and let `accept`
   // decide (from the decoded envelope) which pending entries arrived intact.
   // Re-send survivors of drop/corruption up to max_message_retries times.
@@ -194,7 +195,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
     std::uint64_t flow = 0;
   };
   const auto deliver = [&](const char* channel, std::vector<Pending> pending,
-                           const std::function<Bytes(std::size_t)>& frame_body,
+                           const std::function<Bytes(std::size_t)>& frame,
                            const std::function<void(Reader&,
                                                     std::vector<bool>&)>&
                                accept) -> std::vector<std::size_t> {
@@ -216,8 +217,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
         // Perfetto as extra arrow hops through the phase slice.
         obs::PartyScope sender_scope(p.sender_party);
         flow_point('t', p.flow, channel);
-        network.send(Message{p.from, p.to, channel,
-                             crc_frame(frame_body(p.key)), p.flow});
+        network.send(Message{p.from, p.to, channel, frame(p.key), p.flow});
       }
       network.end_phase();
       std::vector<bool> drained(cluster_.num_nodes(), false);
@@ -334,12 +334,13 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
                          obs::kReducerParty, static_cast<int>(i),
                          broadcast_flow[i]});
       }
-      const auto body = [&](std::size_t i) {
-        Writer writer;
-        writer.put_u64(i);
-        writer.put_u64(round);
-        writer.put_bytes(broadcast);
-        return writer.take();
+      const auto frame = [&](std::size_t i) {
+        return crc_frame(16 + wire_size_bytes(broadcast.size()),
+                         [&](Writer& writer) {
+                           writer.put_u64(i);
+                           writer.put_u64(round);
+                           writer.put_bytes(broadcast);
+                         });
       };
       const auto accept = [&](Reader& reader, std::vector<bool>& done) {
         const std::size_t dest = reader.get_u64();
@@ -347,7 +348,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
         if (dest >= m || msg_round != round) return;  // stale or misrouted
         if (dest < done.size()) done[dest] = true;
       };
-      for (std::size_t i : deliver("broadcast", std::move(sends), body,
+      for (std::size_t i : deliver("broadcast", std::move(sends), frame,
                                    accept)) {
         if (!config_.tolerate_mapper_loss) {
           throw JobError("mapper " + std::to_string(i) +
@@ -402,13 +403,14 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
                          static_cast<int>(outbox[k].sender),
                          static_cast<int>(outbox[k].dest), 0});
       }
-      const auto body = [&](std::size_t k) {
-        Writer writer;
-        writer.put_u64(outbox[k].sender);
-        writer.put_u64(outbox[k].dest);
-        writer.put_u64(round);
-        writer.put_bytes(outbox[k].payload);
-        return writer.take();
+      const auto frame = [&](std::size_t k) {
+        return crc_frame(24 + wire_size_bytes(outbox[k].payload.size()),
+                         [&](Writer& writer) {
+                           writer.put_u64(outbox[k].sender);
+                           writer.put_u64(outbox[k].dest);
+                           writer.put_u64(round);
+                           writer.put_bytes(outbox[k].payload);
+                         });
       };
       const auto accept = [&](Reader& reader, std::vector<bool>& done) {
         const std::size_t sender = reader.get_u64();
@@ -420,7 +422,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
           if (outbox[k].sender == sender && outbox[k].dest == dest)
             done[k] = true;
       };
-      if (!deliver("peer-exchange", std::move(sends), body, accept).empty())
+      if (!deliver("peer-exchange", std::move(sends), frame, accept).empty())
         throw JobError("peer-exchange undeliverable after retries — "
                        "protocol masks lost, round cannot proceed");
     }
@@ -622,12 +624,13 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
           sends.push_back({i, mapper_nodes_[i], reducer_node_,
                            static_cast<int>(i), obs::kReducerParty,
                            contribution_flow[i]});
-      const auto body = [&](std::size_t i) {
-        Writer writer;
-        writer.put_u64(i);
-        writer.put_u64(round);
-        writer.put_bytes(contributions[i]);
-        return writer.take();
+      const auto frame = [&](std::size_t i) {
+        return crc_frame(16 + wire_size_bytes(contributions[i].size()),
+                         [&](Writer& writer) {
+                           writer.put_u64(i);
+                           writer.put_u64(round);
+                           writer.put_bytes(contributions[i]);
+                         });
       };
       const auto accept = [&](Reader& reader, std::vector<bool>& done) {
         const std::size_t mapper = reader.get_u64();
@@ -636,7 +639,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
         contributions[mapper] = reader.get_bytes();
         if (mapper < done.size()) done[mapper] = true;
       };
-      for (std::size_t i : deliver("contribution", std::move(sends), body,
+      for (std::size_t i : deliver("contribution", std::move(sends), frame,
                                    accept)) {
         if (!config_.tolerate_mapper_loss) {
           throw JobError("mapper " + std::to_string(i) +

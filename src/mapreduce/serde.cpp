@@ -1,42 +1,78 @@
 #include "mapreduce/serde.h"
 
+#include <array>
 #include <bit>
 
 namespace ppml::mapreduce {
 
 namespace {
 
-struct Crc32Table {
-  std::uint32_t entries[256];
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      entries[i] = c;
-    }
+constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
+
+/// Slicing-by-8 tables: tables[0] is the classic byte-at-a-time table of
+/// the reflected polynomial; tables[k][b] is the CRC of byte b followed by
+/// k zero bytes, so one step folds eight input bytes at once.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32Tables make_crc32_tables() {
+  Crc32Tables tables{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    tables[0][i] = c;
   }
-};
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      tables[k][i] =
+          (tables[k - 1][i] >> 8) ^ tables[0][tables[k - 1][i] & 0xFF];
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
+
+/// Little-endian u32 from four bytes (one load on little-endian hosts).
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+void store_le32(std::uint32_t v, std::uint8_t* p) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t crc) {
-  static const Crc32Table table;
+  const Crc32Tables& t = kCrc32Tables;
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::uint8_t byte : data) c = table.entries[(c ^ byte) & 0xFF] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
-Bytes crc_frame(std::span<const std::uint8_t> body) {
-  Bytes out;
-  out.reserve(body.size() + 4);
-  std::uint32_t c = crc32(body);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(c & 0xff));
-    c >>= 8;
-  }
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+Bytes crc_frame(std::size_t body_size,
+                const std::function<void(Writer&)>& write_body) {
+  Writer writer;
+  writer.reserve(4 + body_size);
+  writer.put_u32(0);  // CRC slot, filled once the body is in place
+  write_body(writer);
+  Bytes frame = writer.take();
+  PPML_CHECK(frame.size() == 4 + body_size,
+             "crc_frame: body is " + std::to_string(frame.size() - 4) +
+                 " bytes, declared " + std::to_string(body_size));
+  store_le32(crc32(std::span<const std::uint8_t>(frame).subspan(4)),
+             frame.data());
+  return frame;
 }
 
 bool crc_check(std::span<const std::uint8_t> framed) {
@@ -48,16 +84,26 @@ bool crc_check(std::span<const std::uint8_t> framed) {
 }
 
 void Writer::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
+  std::uint8_t bytes[4];
+  store_le32(v, bytes);
+  buffer_.insert(buffer_.end(), bytes, bytes + 4);
 }
 
 void Writer::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
+  std::uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i)
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  buffer_.insert(buffer_.end(), bytes, bytes + 8);
+}
+
+template <typename Word>
+void Writer::put_words(std::span<const Word> words) {
+  static_assert(sizeof(Word) == 8);
+  if constexpr (kLittleEndianHost) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(words.data());
+    buffer_.insert(buffer_.end(), bytes, bytes + words.size_bytes());
+  } else {
+    for (Word w : words) put_u64(std::bit_cast<std::uint64_t>(w));
   }
 }
 
@@ -75,18 +121,18 @@ void Writer::put_bytes(std::span<const std::uint8_t> bytes) {
 
 void Writer::put_u64_vector(std::span<const std::uint64_t> v) {
   put_u64(v.size());
-  for (std::uint64_t x : v) put_u64(x);
+  put_words(v);
 }
 
 void Writer::put_double_vector(std::span<const double> v) {
   put_u64(v.size());
-  for (double x : v) put_double(x);
+  put_words(v);
 }
 
 void Writer::put_matrix(const linalg::Matrix& m) {
   put_u64(m.rows());
   put_u64(m.cols());
-  for (double x : m.data()) put_double(x);
+  put_words(std::span<const double>(m.data()));
 }
 
 void Reader::require(std::size_t n) {
@@ -149,11 +195,24 @@ Bytes Reader::get_bytes() {
   return b;
 }
 
+template <typename Word>
+void Reader::get_words(std::span<Word> out) {
+  static_assert(sizeof(Word) == 8);
+  if constexpr (kLittleEndianHost) {
+    // memcpy with a null source is undefined even for zero bytes.
+    if (out.empty()) return;
+    std::memcpy(out.data(), data_.data() + cursor_, out.size_bytes());
+    cursor_ += out.size_bytes();
+  } else {
+    for (Word& w : out) w = std::bit_cast<Word>(get_u64());
+  }
+}
+
 std::vector<std::uint64_t> Reader::get_u64_vector() {
   const std::uint64_t n = get_u64();
   require_words(n);
   std::vector<std::uint64_t> v(n);
-  for (auto& x : v) x = get_u64();
+  get_words(std::span<std::uint64_t>(v));
   return v;
 }
 
@@ -161,7 +220,7 @@ std::vector<double> Reader::get_double_vector() {
   const std::uint64_t n = get_u64();
   require_words(n);
   std::vector<double> v(n);
-  for (auto& x : v) x = get_double();
+  get_words(std::span<double>(v));
   return v;
 }
 
@@ -170,7 +229,7 @@ linalg::Matrix Reader::get_matrix() {
   const std::uint64_t cols = get_u64();
   require_words(rows, cols);
   linalg::Matrix m(rows, cols);
-  for (double& x : m.data()) x = get_double();
+  get_words(std::span<double>(m.data()));
   return m;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,21 +29,25 @@ using BytesView = std::span<const std::uint8_t>;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `data`. Chainable:
 /// pass a previous result as `crc` to extend it over a second span.
+/// Slicing-by-8: eight bytes per step through eight 256-entry tables,
+/// bit-identical to the one-table byte loop.
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t crc = 0);
 
-/// Payload framing for everything the job driver puts on the fabric:
-/// [u32 crc32(body) little-endian][body...]. A flipped bit anywhere in the
-/// frame makes crc_check() fail, so corrupted messages are *detected* and
-/// retried instead of being deserialized into garbage.
-Bytes crc_frame(std::span<const std::uint8_t> body);
+/// Wire size of a length-prefixed run of `n` bytes (put_bytes/put_string).
+constexpr std::size_t wire_size_bytes(std::size_t n) { return 8 + n; }
+/// Wire size of a length-prefixed run of `n` 8-byte words
+/// (put_u64_vector/put_double_vector; put_matrix adds 8 for the shape).
+constexpr std::size_t wire_size_words(std::size_t n) { return 8 + 8 * n; }
 
-/// True iff `framed` is at least 4 bytes and the stored CRC matches the
-/// body. Read the body by skipping the leading u32 (Reader::get_u32).
-bool crc_check(std::span<const std::uint8_t> framed);
-
-/// Append-only little-endian writer.
+/// Append-only writer. Everything goes on the wire little-endian on every
+/// host. On little-endian hosts the vector and matrix writers append the
+/// whole word run with one memcpy; other hosts take the byte loop, so the
+/// bytes are the same everywhere. Writers whose buffers are stored or sent
+/// should reserve() their exact size first: a grown buffer keeps its
+/// slack for as long as the blockstore or the fabric holds it.
 class Writer {
  public:
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
   void put_u8(std::uint8_t v) { buffer_.push_back(v); }
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
@@ -59,10 +64,29 @@ class Writer {
   std::size_t size() const { return buffer_.size(); }
 
  private:
+  template <typename Word>
+  void put_words(std::span<const Word> words);
+
   Bytes buffer_;
 };
 
-/// Bounds-checked reader; throws ppml::Error on truncated input.
+/// Payload framing for everything the job driver puts on the fabric:
+/// [u32 crc32(body) little-endian][body...]. Built in one buffer: a 4-byte
+/// CRC slot, then `write_body` appends the body, which must be exactly
+/// `body_size` bytes (the buffer is reserved once at that size), then the
+/// CRC of the body goes into the slot. A flipped bit anywhere in the frame
+/// makes crc_check() fail, so corrupted messages are *detected* and
+/// retried instead of being deserialized into garbage.
+Bytes crc_frame(std::size_t body_size,
+                const std::function<void(Writer&)>& write_body);
+
+/// True iff `framed` is at least 4 bytes and the stored CRC matches the
+/// body. Read the body by skipping the leading u32 (Reader::get_u32).
+bool crc_check(std::span<const std::uint8_t> framed);
+
+/// Bounds-checked little-endian reader; throws ppml::Error on truncated
+/// input. On little-endian hosts the vector and matrix readers copy the
+/// word run with one memcpy, after the same length check as the byte loop.
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -85,6 +109,9 @@ class Reader {
   void require(std::size_t n);
   /// Throws unless rows * cols 8-byte words remain (no overflow).
   void require_words(std::uint64_t rows, std::uint64_t cols = 1);
+  /// Fills `out` from the next out.size() words; require_words first.
+  template <typename Word>
+  void get_words(std::span<Word> out);
 
   std::span<const std::uint8_t> data_;
   std::size_t cursor_ = 0;

@@ -1,5 +1,6 @@
 #include "svm/model.h"
 
+#include <algorithm>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -17,13 +18,25 @@ void write_vector(std::ostream& out, const Vector& v) {
   out << '\n';
 }
 
+/// Reads `n` whitespace-separated doubles. `n` comes from the file, so the
+/// vector grows as elements parse instead of being sized from the header:
+/// a huge (or negative, which `>>` wraps) count throws at the first missing
+/// element instead of allocating.
+Vector read_values(std::istream& in, std::size_t n, const char* truncated) {
+  Vector v;
+  v.reserve(std::min<std::size_t>(n, 4096));
+  for (std::size_t i = 0; i < n; ++i) {
+    double x = 0.0;
+    PPML_CHECK(static_cast<bool>(in >> x), truncated);
+    v.push_back(x);
+  }
+  return v;
+}
+
 Vector read_vector(std::istream& in) {
   std::size_t n = 0;
   PPML_CHECK(static_cast<bool>(in >> n), "model load: bad vector header");
-  Vector v(n);
-  for (double& x : v)
-    PPML_CHECK(static_cast<bool>(in >> x), "model load: truncated vector");
-  return v;
+  return read_values(in, n, "model load: truncated vector");
 }
 
 void write_matrix(std::ostream& out, const Matrix& m) {
@@ -37,10 +50,10 @@ Matrix read_matrix(std::istream& in) {
   std::size_t cols = 0;
   PPML_CHECK(static_cast<bool>(in >> rows >> cols),
              "model load: bad matrix header");
-  Matrix m(rows, cols);
-  for (double& x : m.data())
-    PPML_CHECK(static_cast<bool>(in >> x), "model load: truncated matrix");
-  return m;
+  // rows * cols may wrap; the Matrix constructor rejects any count that
+  // does not equal the unwrapped product.
+  return Matrix(rows, cols,
+                read_values(in, rows * cols, "model load: truncated matrix"));
 }
 }  // namespace
 
@@ -121,6 +134,9 @@ KernelModel KernelModel::load(std::istream& in) {
                                model.kernel.a >> model.kernel.b >>
                                model.kernel.c >> model.kernel.degree),
              "KernelModel::load: bad kernel line");
+  PPML_CHECK(type >= static_cast<int>(KernelType::kLinear) &&
+                 type <= static_cast<int>(KernelType::kSigmoid),
+             "KernelModel::load: unknown kernel type");
   model.kernel.type = static_cast<KernelType>(type);
   PPML_CHECK(static_cast<bool>(in >> model.b), "KernelModel::load: bad bias");
   model.coeffs = read_vector(in);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -128,14 +130,132 @@ TEST(Crc32, ChainingMatchesOneShot) {
   EXPECT_EQ(crc32(span.subspan(3), crc32(span.first(3))), crc32(data));
 }
 
+// Byte-at-a-time CRC-32 (reflected 0xEDB88320), the reference for the
+// slicing-by-8 crc32().
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data,
+                             std::uint32_t crc = 0) {
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicingMatchesBytewise) {
+  // One buffer, every start offset 0..7 (misaligned loads into the 8-byte
+  // steps), every length 0..257 (all tail lengths around several steps).
+  Bytes buffer(8 + 257);
+  std::uint32_t state = 0x12345678u;
+  for (std::uint8_t& b : buffer) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(state >> 24);
+  }
+  const std::span<const std::uint8_t> all(buffer);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 257; ++length) {
+      const auto data = all.subspan(offset, length);
+      ASSERT_EQ(crc32(data), crc32_bytewise(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  // Chained calls split at every position equal the one-shot CRC.
+  const auto data = all.subspan(3, 257);
+  const std::uint32_t whole = crc32_bytewise(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    ASSERT_EQ(crc32(data.subspan(split), crc32(data.first(split))), whole)
+        << "split " << split;
+  }
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(Bytes(check.begin(), check.end())), 0xCBF43926u);
+}
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(digits[b >> 4]);
+    out.push_back(digits[b & 0xF]);
+  }
+  return out;
+}
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Serde, WireBytesUnchanged) {
+  // Expected bytes were recorded from the byte-at-a-time writer and the
+  // two-copy framing: the bulk word paths and one-pass framing must put
+  // exactly the same bytes on the wire.
+  Writer writer;
+  writer.put_u32(0xDEADBEEFu);
+  writer.put_u64(0x0123456789ABCDEFULL);
+  writer.put_string("ppml");
+  writer.put_u64_vector(std::vector<std::uint64_t>{
+      0, 1, 0x8000000000000000ULL, 0xFFFFFFFFFFFFFFFFULL,
+      0x0102030405060708ULL});
+  writer.put_double_vector(std::vector<double>{
+      -0.0, std::bit_cast<double>(0x7FF8000000012345ULL),  // NaN, payload
+      std::bit_cast<double>(0x000000000000BEEFULL),         // denormal
+      1.5});
+  writer.put_matrix(linalg::Matrix{{1.0, -2.0}, {3.25, 4.0}, {-5.0, 6e300}});
+  EXPECT_EQ(hex(writer.buffer()),
+            "efbeaddeefcdab8967452301040000000000000070706d6c0500000000000000"
+            "000000000000000001000000000000000000000000000080ffffffffffffffff"
+            "080706050403020104000000000000000000000000000080452301000000f87f"
+            "efbe000000000000000000000000f83f03000000000000000200000000000000"
+            "000000000000f03f00000000000000c00000000000000a400000000000001040"
+            "00000000000014c0355800662deb617e");
+
+  // A width-20 000 contribution frame, built the way the driver builds it:
+  // [crc][u64 mapper][u64 round][bytes: u64-vector contribution].
+  std::vector<std::uint64_t> words(20000);
+  std::uint64_t s = 0x9E3779B97F4A7C15ULL;
+  for (std::uint64_t& w : words) {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    w = s ^ (s >> 29);
+  }
+  Writer contribution_writer;
+  contribution_writer.reserve(wire_size_words(words.size()));
+  contribution_writer.put_u64_vector(words);
+  const Bytes contribution = contribution_writer.take();
+  ASSERT_EQ(contribution.size(), wire_size_words(words.size()));
+  const Bytes frame =
+      crc_frame(16 + wire_size_bytes(contribution.size()), [&](Writer& w) {
+        w.put_u64(3);
+        w.put_u64(7);
+        w.put_bytes(contribution);
+      });
+  EXPECT_EQ(frame.size(), 160036u);
+  EXPECT_EQ(fnv1a(frame), 0x6c6f24a3bdc53078ULL);
+  EXPECT_TRUE(crc_check(frame));
+  Reader reader(frame);
+  EXPECT_EQ(reader.get_u32(), 0xabcfdb1bu);
+  EXPECT_EQ(reader.get_u64(), 3u);
+  EXPECT_EQ(reader.get_u64(), 7u);
+  const Bytes payload = reader.get_bytes();
+  EXPECT_EQ(Reader(payload).get_u64_vector(), words);
+}
+
 TEST(Crc32, FrameRoundTripAndCorruptionDetected) {
   Writer writer;
   writer.put_u64(42);
   writer.put_string("payload");
   const Bytes body = writer.take();
 
-  Bytes framed = crc_frame(body);
+  Bytes framed = crc_frame(body.size(), [&](Writer& w) {
+    w.put_u64(42);
+    w.put_string("payload");
+  });
   ASSERT_EQ(framed.size(), body.size() + 4);
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), framed.begin() + 4));
+  EXPECT_EQ(Reader(framed).get_u32(), crc32(body));
   EXPECT_TRUE(crc_check(framed));
   Reader reader(framed);
   reader.get_u32();  // skip the CRC
@@ -149,6 +269,9 @@ TEST(Crc32, FrameRoundTripAndCorruptionDetected) {
     EXPECT_FALSE(crc_check(damaged)) << position;
   }
   EXPECT_FALSE(crc_check(Bytes{1, 2}));  // too short to hold a CRC
+
+  // A body that does not match its declared size is a driver bug.
+  EXPECT_THROW(crc_frame(7, [](Writer& w) { w.put_u64(1); }), Error);
 }
 
 TEST(Network, FaultPlanDropsDeterministically) {
