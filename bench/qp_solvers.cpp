@@ -10,18 +10,24 @@
 // per-mode durations, cache hit statistics, and the max |x - x_dense|
 // cross-check (expected exactly 0.0 — the cached path is bit-identical).
 // Pass `--metrics PATH` to also dump the obs counters (qp.cache.*,
-// qp.smo.*) collected during the sweep. docs/performance.md explains how
-// to read the output.
+// qp.smo.*) collected during the sweep. A `diagonal` object times
+// solve_diagonal_qp at the linear-vertical reducer's shape against the
+// serial bisection kept below, and aborts unless every x is bit-identical
+// to it. docs/performance.md explains how to read the output.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
 
 #include "data/generators.h"
 #include "linalg/blas.h"
+#include "linalg/microkernel.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/report.h"
 #include "qp/box_qp.h"
@@ -256,6 +262,103 @@ obs::JsonValue run_cache_sweep() {
   return sweep;
 }
 
+// ------------------------------------- diagonal QP at the lv reducer shape
+
+/// The serial bisection solve_diagonal_qp ran before its certified fast
+/// pass: the x it returns is the reference the fast solver must match.
+linalg::Vector serial_diagonal_x(const qp::DiagonalQpProblem& problem) {
+  const std::size_t n = problem.d.size();
+  linalg::Vector x(n, 0.0);
+  const auto x_of_nu = [&](double nu) {
+    for (std::size_t i = 0; i < n; ++i)
+      x[i] = std::min(
+          std::max((problem.p[i] - nu * problem.y[i]) / problem.d[i], 0.0),
+          problem.c);
+  };
+  const auto h = [&](double nu) {
+    x_of_nu(nu);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) acc += problem.y[i] * x[i];
+    return acc;
+  };
+  double lo = -1.0;
+  double hi = 1.0;
+  while (h(lo) < problem.delta && std::isfinite(lo)) lo *= 2.0;
+  while (h(hi) > problem.delta && std::isfinite(hi)) hi *= 2.0;
+  for (int iter = 0; iter < 200; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    (h(mid) > problem.delta ? lo : hi) = mid;
+    if (hi - lo <= 1e-12 * (1.0 + std::abs(lo) + std::abs(hi))) break;
+  }
+  x_of_nu(0.5 * (lo + hi));
+  return x;
+}
+
+/// lv-m8-fabric's reducer dual: n = 20 000, d = M/rho = 0.08, C = 50,
+/// delta = 0, p = 1 - y q; `count` problems with different q.
+obs::JsonValue run_diagonal(std::size_t count) {
+  constexpr std::size_t n = 20000;
+  std::mt19937_64 rng(20000);
+  std::normal_distribution<double> normal;
+  std::vector<qp::DiagonalQpProblem> problems(count);
+  for (qp::DiagonalQpProblem& problem : problems) {
+    problem.d.assign(n, 0.08);
+    problem.y.resize(n);
+    problem.p.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      problem.y[i] = (rng() & 1) != 0 ? 1.0 : -1.0;
+      const double q = problem.y[i] * 0.8 + 1.5 * normal(rng);
+      problem.p[i] = 1.0 - problem.y[i] * q;
+    }
+    problem.c = 50.0;
+  }
+
+  obs::MetricsRegistry metrics;
+  std::vector<linalg::Vector> solved;
+  auto start = std::chrono::steady_clock::now();
+  {
+    obs::Session session(nullptr, &metrics);
+    for (const qp::DiagonalQpProblem& problem : problems)
+      solved.push_back(qp::solve_diagonal_qp(problem).x);
+  }
+  const double seconds = seconds_since(start);
+
+  std::size_t differs = 0;
+  start = std::chrono::steady_clock::now();
+  for (std::size_t k = 0; k < count; ++k) {
+    const linalg::Vector reference = serial_diagonal_x(problems[k]);
+    for (std::size_t i = 0; i < n; ++i)
+      differs += std::bit_cast<std::uint64_t>(reference[i]) !=
+                 std::bit_cast<std::uint64_t>(solved[k][i]);
+  }
+  const double serial_seconds = seconds_since(start);
+
+  obs::JsonValue row = obs::JsonValue::object();
+  row.set("n", n);
+  row.set("problems", count);
+  row.set("isa", linalg::active_isa_name());
+  row.set("seconds", seconds);
+  row.set("serial_seconds", serial_seconds);
+  row.set("sweeps", metrics.counter("qp.diagonal.sweeps"));
+  row.set("serial_passes", metrics.counter("qp.diagonal.serial_passes"));
+  row.set("x_differs_vs_serial", differs);
+  std::printf(
+      "# diagonal n=%zu problems=%zu seconds=%.4f serial_seconds=%.4f "
+      "sweeps=%lld serial_passes=%lld x_differs=%zu\n",
+      n, count, seconds, serial_seconds,
+      static_cast<long long>(metrics.counter("qp.diagonal.sweeps")),
+      static_cast<long long>(metrics.counter("qp.diagonal.serial_passes")),
+      differs);
+  if (differs != 0) {
+    std::fprintf(stderr,
+                 "qp_solvers: solve_diagonal_qp differs from the serial "
+                 "bisection in %zu entries\n",
+                 differs);
+    std::abort();
+  }
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -284,6 +387,7 @@ int main(int argc, char** argv) {
     obs::Session session(&tracer, &metrics);
     report.set("cache_sweep", run_cache_sweep());
   }
+  report.set("diagonal", run_diagonal(10));
   report.set("metrics", obs::metrics_json(metrics));
   obs::write_json_file("BENCH_qp.json", report);
   std::printf("# report written to BENCH_qp.json\n");

@@ -72,15 +72,22 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/crypto_test
 
 # ThreadSanitizer over the suites that are race-clean today: the metrics
 # registry and flight ring (obs), the executor and fabric under faults
-# (chaos, mapreduce), the ledger's lock-free slot table and threaded gemm.
+# (chaos, mapreduce), the ledger's lock-free slot table, threaded gemm,
+# the prediction server's batcher and admission queue (serving), and the
+# consensus engine's party threads, sync and async (consensus_engine,
+# async_consensus).
 cmake -B build-tsan -S . -DPPML_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$jobs" --target obs_test chaos_test \
-  mapreduce_test privacy_ledger_test linalg_test
+  mapreduce_test privacy_ledger_test linalg_test serving_test \
+  async_consensus_test consensus_engine_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/chaos_test
 ./build-tsan/tests/mapreduce_test
 ./build-tsan/tests/privacy_ledger_test
 ./build-tsan/tests/linalg_test
+./build-tsan/tests/serving_test
+./build-tsan/tests/async_consensus_test
+./build-tsan/tests/consensus_engine_test
 
 # Bench smoke: skip the timed google-benchmark cases (empty filter), run
 # only the cache-budget sweep, and require a parseable report with the
@@ -97,6 +104,7 @@ for size in report["cache_sweep"]:
     for m in size["modes"]:
         if "max_abs_diff_vs_dense" in m:
             assert m["max_abs_diff_vs_dense"] == 0.0, m
+assert report["diagonal"]["x_differs_vs_serial"] == 0, report["diagonal"]
 print("bench smoke: BENCH_qp.json OK")
 PYEOF
 

@@ -139,6 +139,10 @@ Dataset load_libsvm(std::istream& in, std::size_t features, std::string name) {
     rows.push_back(std::move(row));
   }
   PPML_CHECK(!rows.empty(), "load_libsvm: no data rows");
+  PPML_CHECK(features != 0 || max_index <= kMaxInferredLibsvmFeatures,
+             "load_libsvm: inferred width " + std::to_string(max_index) +
+                 " exceeds " + std::to_string(kMaxInferredLibsvmFeatures) +
+                 "; pass `features` to load wider data");
   const std::size_t width = features == 0 ? max_index : features;
   PPML_CHECK(max_index <= width,
              "load_libsvm: feature index exceeds requested width");

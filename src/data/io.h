@@ -5,6 +5,7 @@
 // substitutes in generators.h.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -22,8 +23,15 @@ Dataset load_csv_file(const std::string& path);
 void save_csv(const Dataset& dataset, std::ostream& out);
 void save_csv_file(const Dataset& dataset, const std::string& path);
 
+/// Largest width load_libsvm infers on its own. The dataset is dense, so
+/// one stray index such as `4000000000:1` would otherwise size every row
+/// at 4e9 doubles; an inferred width above this throws Error. Callers with
+/// wider data pass `features` explicitly.
+inline constexpr std::size_t kMaxInferredLibsvmFeatures = std::size_t{1} << 20;
+
 /// LIBSVM format: `label idx:value idx:value ...` with 1-based indices.
-/// `features` = 0 infers width from the maximum index seen.
+/// `features` = 0 infers width from the maximum index seen, up to
+/// kMaxInferredLibsvmFeatures.
 Dataset load_libsvm(std::istream& in, std::size_t features = 0,
                     std::string name = "libsvm");
 Dataset load_libsvm_file(const std::string& path, std::size_t features = 0);

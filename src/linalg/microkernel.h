@@ -21,10 +21,16 @@
 // every ISA level is bit-identical to the naive oracles. A single reduction
 // (linalg::dot) cannot be vectorized under that contract and stays scalar.
 //
-// The seam has a second user outside linalg: crypto::ChaCha20Stream::fill
-// (crypto/prng.h) reads active_isa() to choose its 8-block AVX2 keystream
-// (crypto/chacha20_avx2.cpp), which is bit-identical to the scalar RFC 8439
-// block function. Forcing a level pins both.
+// The seam has three users outside linalg, each in its own -mavx2 TU:
+//   - crypto::ChaCha20Stream::fill (crypto/prng.h) chooses its 8-block AVX2
+//     keystream (crypto/chacha20_avx2.cpp), bit-identical to the scalar
+//     RFC 8439 block function;
+//   - qp::solve_diagonal_qp (qp/diagonal_qp.h) runs a lane-summed fast pass
+//     (qp/diagonal_qp_avx2.cpp) and takes each bisection decision from it
+//     only when an error bound certifies the serial sum decides the same;
+//   - mapreduce::crc32 (mapreduce/serde.h) folds with PCLMULQDQ
+//     (mapreduce/crc32_pclmul.cpp, also -mpclmul) when cpuid reports it.
+// Forcing a level pins all of them.
 //
 // Pinning: set PPML_FORCE_ISA=scalar|avx2 in the environment, or call
 // force_isa() (svm::TrainOptions::force_isa routes here). The selected level

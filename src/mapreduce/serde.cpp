@@ -3,7 +3,15 @@
 #include <array>
 #include <bit>
 
+#include "linalg/microkernel.h"
+
 namespace ppml::mapreduce {
+
+#if defined(PPML_HAVE_PCLMUL)
+// Defined in crc32_pclmul.cpp (compiled with -mavx2 -mpclmul).
+std::uint32_t crc32_fold_pclmul(const std::uint8_t* p, std::size_t len,
+                                std::uint32_t crc) noexcept;
+#endif
 
 namespace {
 
@@ -42,6 +50,17 @@ void store_le32(std::uint32_t v, std::uint8_t* p) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
+/// True when crc32() may fold with PCLMULQDQ: the dispatch seam runs at
+/// AVX2 and the CPU has carry-less multiply.
+bool use_pclmul() noexcept {
+#if defined(PPML_HAVE_PCLMUL)
+  static const bool cpu_has_pclmul = __builtin_cpu_supports("pclmul") != 0;
+  return cpu_has_pclmul && linalg::active_isa() == linalg::Isa::kAvx2;
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t crc) {
@@ -49,6 +68,14 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t crc) {
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
+#if defined(PPML_HAVE_PCLMUL)
+  if (n >= 64 && use_pclmul()) {
+    const std::size_t folded = n & ~std::size_t{15};
+    c = crc32_fold_pclmul(p, folded, c);
+    p += folded;
+    n -= folded;
+  }
+#endif
   for (; n >= 8; p += 8, n -= 8) {
     const std::uint32_t lo = c ^ load_le32(p);
     const std::uint32_t hi = load_le32(p + 4);

@@ -29,8 +29,12 @@ using BytesView = std::span<const std::uint8_t>;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `data`. Chainable:
 /// pass a previous result as `crc` to extend it over a second span.
-/// Slicing-by-8: eight bytes per step through eight 256-entry tables,
-/// bit-identical to the one-table byte loop.
+/// When the linalg dispatch seam runs at AVX2 and the CPU has PCLMULQDQ,
+/// spans of 64 bytes or more fold their first len & ~15 bytes with
+/// carry-less multiplies (4x128-bit folding, Gopal et al. 2009); the rest,
+/// and everything at the scalar level, goes through slicing-by-8 (eight
+/// bytes per step through eight 256-entry tables). Both compute the same
+/// polynomial remainder as the one-table byte loop, bit for bit.
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t crc = 0);
 
 /// Wire size of a length-prefixed run of `n` bytes (put_bytes/put_string).

@@ -347,6 +347,23 @@ TEST(Io, LibsvmRejectsZeroIndex) {
   EXPECT_THROW(load_libsvm(in), InvalidArgument);
 }
 
+TEST(Io, LibsvmRejectsInferredWidthBomb) {
+  // One stray index used to size a 1 x 4e9 dense row (std::bad_alloc).
+  std::stringstream bomb("+1 1:0.5 4000000000:1\n");
+  EXPECT_THROW(load_libsvm(bomb), Error);
+  const std::string limit = std::to_string(kMaxInferredLibsvmFeatures);
+  const std::string over = std::to_string(kMaxInferredLibsvmFeatures + 1);
+  std::stringstream at_limit("+1 1:0.5 " + limit + ":1\n");
+  EXPECT_EQ(load_libsvm(at_limit).features(), kMaxInferredLibsvmFeatures);
+  std::stringstream past_limit("-1 " + over + ":1\n");
+  EXPECT_THROW(load_libsvm(past_limit), Error);
+  // An explicit width is the caller's decision and is honoured.
+  std::stringstream explicit_width("-1 " + over + ":1\n");
+  EXPECT_EQ(load_libsvm(explicit_width, kMaxInferredLibsvmFeatures + 1)
+                .features(),
+            kMaxInferredLibsvmFeatures + 1);
+}
+
 TEST(Io, LibsvmRejectsMissingColon) {
   std::stringstream in("+1 1-0.5\n");
   EXPECT_THROW(load_libsvm(in), InvalidArgument);

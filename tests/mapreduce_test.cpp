@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "linalg/microkernel.h"
 #include "mapreduce/blockstore.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/executor.h"
@@ -168,6 +169,58 @@ TEST(Crc32, SlicingMatchesBytewise) {
   }
   const std::string check = "123456789";
   EXPECT_EQ(crc32(Bytes(check.begin(), check.end())), 0xCBF43926u);
+}
+
+/// crc32(data.first(length), seed) for every length 0..data.size(), with
+/// the dispatcher pinned to `isa`.
+std::vector<std::uint32_t> prefix_crcs_at(linalg::Isa isa,
+                                          std::span<const std::uint8_t> data,
+                                          std::uint32_t seed) {
+  linalg::force_isa(isa);
+  std::vector<std::uint32_t> out;
+  for (std::size_t length = 0; length <= data.size(); ++length)
+    out.push_back(crc32(data.first(length), seed));
+  linalg::clear_forced_isa();
+  return out;
+}
+
+TEST(Crc32, PclmulMatchesSlicing) {
+  // At the AVX2 level crc32() folds len & ~15 bytes with PCLMULQDQ when
+  // len >= 64; the scalar level is slicing-by-8 only. Every length
+  // 0..1100 at every start offset 0..15, from two initial values, and
+  // chained splits must give the same CRC at both levels.
+  if (!linalg::isa_available(linalg::Isa::kAvx2))
+    GTEST_SKIP() << "avx2 not available";
+  Bytes buffer(16 + 1100);
+  std::uint32_t state = 0x9E3779B9u;
+  for (std::uint8_t& b : buffer) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(state >> 24);
+  }
+  const std::span<const std::uint8_t> all(buffer);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+      const auto data = all.subspan(offset, 1100);
+      const auto scalar = prefix_crcs_at(linalg::Isa::kScalar, data, seed);
+      const auto avx2 = prefix_crcs_at(linalg::Isa::kAvx2, data, seed);
+      for (std::size_t length = 0; length <= 1100; ++length) {
+        ASSERT_EQ(avx2[length], scalar[length])
+            << "offset " << offset << " length " << length << " seed "
+            << seed;
+      }
+      EXPECT_EQ(avx2.back(), crc32_bytewise(data, seed));
+    }
+  }
+  // Chained calls split at every position equal the one-shot CRC: the
+  // folded part hands its state to the table loop and back.
+  const auto data = all.subspan(5, 1000);
+  const std::uint32_t whole = crc32_bytewise(data);
+  linalg::force_isa(linalg::Isa::kAvx2);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(crc32(data.subspan(split), crc32(data.first(split))), whole)
+        << "split " << split;
+  }
+  linalg::clear_forced_isa();
 }
 
 std::string hex(std::span<const std::uint8_t> bytes) {

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <random>
+#include <string>
 
 #include "linalg/blas.h"
+#include "linalg/microkernel.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "qp/box_qp.h"
 #include "qp/diagonal_qp.h"
@@ -415,6 +423,261 @@ TEST_P(DiagonalQpRandom, KktHolds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiagonalQpRandom,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// ------------------------------------------------- diagonal QP oracle
+//
+// solve_diagonal_qp at the AVX2 level decides most bisection steps from a
+// lane-summed fast pass, certified to agree with the serial sum. The
+// oracle is the serial solver before that change, kept verbatim below
+// (plus a tally of h evaluations): x, iterations and objective must match
+// it bit for bit at every ISA level.
+
+Result reference_diagonal_qp(const DiagonalQpProblem& problem,
+                             std::size_t* evaluations,
+                             double tolerance = 1e-12) {
+  const auto clip = [](double v, double lo, double hi) {
+    return std::min(std::max(v, lo), hi);
+  };
+  const std::size_t n = problem.d.size();
+  const auto x_of_nu = [&](double nu, Vector& x) {
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = clip((problem.p[i] - nu * problem.y[i]) / problem.d[i], 0.0,
+                  problem.c);
+    }
+  };
+  const auto h = [&](double nu, Vector& x) {
+    ++*evaluations;
+    x_of_nu(nu, x);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) acc += problem.y[i] * x[i];
+    return acc;
+  };
+
+  Vector x(n, 0.0);
+  double lo = -1.0;
+  double hi = 1.0;
+  while (h(lo, x) < problem.delta && std::isfinite(lo)) lo *= 2.0;
+  while (h(hi, x) > problem.delta && std::isfinite(hi)) hi *= 2.0;
+
+  Result result;
+  for (int iter = 0; iter < 200; ++iter) {
+    ++result.iterations;
+    const double mid = 0.5 * (lo + hi);
+    const double value = h(mid, x);
+    if (value > problem.delta) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+    if (hi - lo <= tolerance * (1.0 + std::abs(lo) + std::abs(hi))) break;
+  }
+  const double nu = 0.5 * (lo + hi);
+  x_of_nu(nu, x);
+
+  double constraint = 0.0;
+  double objective = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    constraint += problem.y[i] * x[i];
+    objective += 0.5 * problem.d[i] * x[i] * x[i] - problem.p[i] * x[i];
+  }
+  result.kkt_violation = std::abs(constraint - problem.delta);
+  result.converged =
+      result.kkt_violation <= 1e-6 * (1.0 + std::abs(problem.delta));
+  result.objective = objective;
+  result.x = std::move(x);
+  return result;
+}
+
+class DiagonalQpOracle : public ::testing::TestWithParam<linalg::Isa> {
+ protected:
+  void SetUp() override {
+    if (!linalg::isa_available(GetParam()))
+      GTEST_SKIP() << linalg::isa_name(GetParam()) << " not available";
+    linalg::force_isa(GetParam());
+  }
+  void TearDown() override { linalg::clear_forced_isa(); }
+
+  /// Solves `problem` with both solvers and requires bitwise agreement.
+  /// Accumulates h evaluations and serial passes over the fixture's life.
+  void expect_matches_reference(const DiagonalQpProblem& problem,
+                                const std::string& what) {
+    std::size_t reference_evaluations = 0;
+    const Result expected =
+        reference_diagonal_qp(problem, &reference_evaluations);
+    obs::MetricsRegistry metrics;
+    Result actual;
+    {
+      obs::Session session(nullptr, &metrics);
+      actual = solve_diagonal_qp(problem);
+    }
+    ASSERT_EQ(actual.iterations, expected.iterations) << what;
+    ASSERT_EQ(actual.x.size(), expected.x.size()) << what;
+    for (std::size_t i = 0; i < expected.x.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(actual.x[i]),
+                std::bit_cast<std::uint64_t>(expected.x[i]))
+          << what << " i=" << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.objective),
+              std::bit_cast<std::uint64_t>(expected.objective))
+        << what;
+    EXPECT_EQ(actual.converged, expected.converged) << what;
+    EXPECT_EQ(metrics.counter("qp.diagonal.sweeps"),
+              static_cast<std::int64_t>(expected.iterations))
+        << what;
+    const auto serial =
+        static_cast<std::size_t>(metrics.counter("qp.diagonal.serial_passes"));
+    EXPECT_LE(serial, reference_evaluations) << what;
+    if (GetParam() == linalg::Isa::kScalar) {
+      EXPECT_EQ(serial, reference_evaluations) << what;
+    }
+    evaluations_ += reference_evaluations;
+    serial_passes_ += serial;
+  }
+
+  /// The AVX2 level must skip some serial passes; the scalar level never.
+  void expect_serial_share() const {
+    if (GetParam() == linalg::Isa::kScalar) {
+      EXPECT_EQ(serial_passes_, evaluations_);
+    } else {
+      EXPECT_LT(serial_passes_, evaluations_);
+    }
+  }
+
+  std::size_t evaluations_ = 0;
+  std::size_t serial_passes_ = 0;
+};
+
+DiagonalQpProblem random_diagonal_problem(std::mt19937_64& rng, std::size_t n,
+                                          bool constant_d, double c,
+                                          bool integer_p) {
+  std::normal_distribution<double> normal;
+  std::uniform_real_distribution<double> uniform(0.05, 3.0);
+  DiagonalQpProblem problem;
+  problem.d.assign(n, constant_d ? uniform(rng) : 0.0);
+  if (!constant_d)
+    for (double& v : problem.d) v = uniform(rng);
+  problem.p.resize(n);
+  for (double& v : problem.p)
+    v = integer_p ? std::round(4.0 * normal(rng)) : 3.0 * normal(rng);
+  problem.y.resize(n);
+  std::size_t n_pos = 0;
+  for (double& v : problem.y) {
+    v = (rng() & 1) != 0 ? 1.0 : -1.0;
+    n_pos += v > 0.0 ? 1 : 0;
+  }
+  problem.c = c;
+  // delta: zero (the reducer's case) or a feasible point of y^T x.
+  if ((rng() & 1) != 0) {
+    const double span = c * static_cast<double>(std::min(n_pos, n - n_pos));
+    const double side = (rng() & 1) != 0 ? 0.5 : -0.5;
+    problem.delta = integer_p ? std::round(side * span)
+                              : side * span * std::abs(normal(rng)) / 3.0;
+  }
+  return problem;
+}
+
+TEST_P(DiagonalQpOracle, RandomProblems) {
+  std::mt19937_64 rng(0xD1A6);
+  for (int k = 0; k < 120; ++k) {
+    const std::size_t n = 1 + rng() % 3000;
+    const DiagonalQpProblem problem = random_diagonal_problem(
+        rng, n, (rng() & 1) != 0, (rng() & 1) != 0 ? 1.0 : 50.0, false);
+    expect_matches_reference(problem, "problem " + std::to_string(k));
+  }
+  expect_serial_share();
+}
+
+TEST_P(DiagonalQpOracle, IntegerPTies) {
+  // Integer p with unit d puts many breakpoints of h on the same nu and
+  // drives the bisection into exact ties, where the certificate must hand
+  // the decision to the serial pass.
+  std::mt19937_64 rng(0x71E5);
+  for (int k = 0; k < 80; ++k) {
+    const std::size_t n = 1 + rng() % 600;
+    DiagonalQpProblem problem = random_diagonal_problem(
+        rng, n, true, (rng() & 1) != 0 ? 1.0 : 50.0, true);
+    problem.d.assign(n, 1.0);
+    expect_matches_reference(problem, "problem " + std::to_string(k));
+  }
+  // All-zero terms at every nu but the breakpoint: h is exactly 0.
+  DiagonalQpProblem flat;
+  flat.d.assign(64, 1.0);
+  flat.p.assign(64, 0.0);
+  flat.y.assign(64, 1.0);
+  for (std::size_t i = 0; i < 64; i += 2) flat.y[i] = -1.0;
+  flat.c = 1.0;
+  expect_matches_reference(flat, "flat");
+  expect_serial_share();
+}
+
+TEST_P(DiagonalQpOracle, CancellationForcesSerialPass) {
+  // Terms +C and -C (C = 1e16, ulp 2) in different lanes around one small
+  // interior term x = clip(3 - nu, 0, C): the serial sum rounds C + x back
+  // to C whenever x <= 1, so serial and lane sums land on opposite sides
+  // of delta = 0.25 for a whole range of nu. Taking the lane sum's
+  // decisions there would move nu; the certificate must refuse them.
+  const double big = 1e16;
+  for (const auto& [n, plus, minus, small] :
+       {std::array<std::size_t, 4>{16, 0, 4, 1},
+        std::array<std::size_t, 4>{16, 2, 7, 3},
+        std::array<std::size_t, 4>{21, 5, 20, 6},
+        std::array<std::size_t, 4>{21, 17, 9, 18}}) {
+    DiagonalQpProblem problem;
+    problem.d.assign(n, 1.0);
+    problem.p.assign(n, -1e30);  // x = 0: a +0 term
+    problem.y.assign(n, 1.0);
+    problem.p[plus] = 1e30;  // x = C, y = +1
+    problem.p[minus] = 1e30;
+    problem.y[minus] = -1.0;  // x = C, y = -1
+    problem.p[small] = 3.0;
+    problem.c = big;
+    problem.delta = 0.25;
+    expect_matches_reference(problem, "n=" + std::to_string(n) +
+                                          " plus=" + std::to_string(plus));
+  }
+}
+
+TEST_P(DiagonalQpOracle, NanInP) {
+  // A NaN term makes every sum NaN: no decision can be certified, and the
+  // serial pass must decide every step exactly as before.
+  std::mt19937_64 rng(0x7A7);
+  DiagonalQpProblem problem = random_diagonal_problem(rng, 257, false, 50.0,
+                                                      false);
+  problem.p[100] = std::numeric_limits<double>::quiet_NaN();
+  std::size_t evaluations = 0;
+  reference_diagonal_qp(problem, &evaluations);
+  const std::size_t before = serial_passes_;
+  expect_matches_reference(problem, "nan");
+  EXPECT_EQ(serial_passes_ - before, evaluations);
+}
+
+TEST_P(DiagonalQpOracle, LinearVerticalReducerShape) {
+  // The reducer's dual on lv-m8-fabric: n = 20 000, d = M/rho = 0.08,
+  // C = 50, delta = 0, p = 1 - y q.
+  std::mt19937_64 rng(0x1F8);
+  std::normal_distribution<double> normal;
+  const std::size_t n = 20000;
+  for (int k = 0; k < 3; ++k) {
+    DiagonalQpProblem problem;
+    problem.d.assign(n, 0.08);
+    problem.y.resize(n);
+    problem.p.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      problem.y[i] = (rng() & 1) != 0 ? 1.0 : -1.0;
+      const double q = problem.y[i] * 0.8 + 1.5 * normal(rng);
+      problem.p[i] = 1.0 - problem.y[i] * q;
+    }
+    problem.c = 50.0;
+    expect_matches_reference(problem, "lv " + std::to_string(k));
+  }
+  expect_serial_share();
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, DiagonalQpOracle,
+                         ::testing::Values(linalg::Isa::kScalar,
+                                           linalg::Isa::kAvx2),
+                         [](const auto& info) {
+                           return std::string(linalg::isa_name(info.param));
+                         });
 
 // ---------------------------------------------------------- kernel cache
 

@@ -1,12 +1,12 @@
 // Seeded mutation fuzzing of every decoder that takes bytes from the wire,
 // the blockstore or a file: CRC frames and the driver's envelope reads,
-// serde::Reader primitives and vectors, the shard/block decoders and the
-// text model loaders. Each starts from a valid input, applies bit flips,
-// truncations, extensions and hostile length fields (0, 2^32, 2^61,
-// 2^64-1) from a fixed seed, and requires every mutant to parse or throw
-// ppml::Error — no other exception, no crash (ASan watches the memcpy
-// decode paths in the sanitizer build). No libFuzzer: the corpus is the
-// seed inputs and the run is deterministic.
+// serde::Reader primitives and vectors, the shard/block decoders, and the
+// text model and dataset loaders. Each starts from a valid input, applies
+// bit flips, truncations, extensions and hostile length fields (0, 2^32,
+// 2^61, 2^64-1) from a fixed seed, and requires every mutant to parse or
+// throw ppml::Error — no other exception, no crash (ASan watches the
+// memcpy decode paths in the sanitizer build). No libFuzzer: the corpus is
+// the seed inputs and the run is deterministic.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -16,6 +16,7 @@
 
 #include "core/mapreduce_adapter.h"
 #include "data/dataset.h"
+#include "data/io.h"
 #include "mapreduce/serde.h"
 #include "svm/model.h"
 
@@ -33,7 +34,8 @@ constexpr std::uint64_t kHostileLengths[] = {0, 1ULL << 32, 1ULL << 61,
 
 /// One valid input, where its length fields sit, and the decoder under
 /// test. Binary length fields are u64 little-endian words; text length
-/// fields are the offsets of decimal tokens.
+/// fields are the offsets of decimal tokens (ended by a space, newline,
+/// ':' or ',').
 struct Corpus {
   std::string name;
   Bytes input;
@@ -50,7 +52,8 @@ void overwrite_length(Bytes& input, const Corpus& corpus, std::size_t field,
   if (corpus.text) {
     if (field >= input.size()) return;
     std::size_t end = field;
-    while (end < input.size() && input[end] != ' ' && input[end] != '\n')
+    while (end < input.size() && input[end] != ' ' && input[end] != '\n' &&
+           input[end] != ':' && input[end] != ',')
       ++end;
     const std::string digits = std::to_string(value);
     input.erase(input.begin() + static_cast<std::ptrdiff_t>(field),
@@ -304,6 +307,38 @@ TEST(SerdeFuzz, ModelLoaders) {
                          svm::KernelModel::load(in);
                        }};
   fuzz(kernel_corpus, 8);
+}
+
+// ---------------------------------------------------------- dataset files
+
+TEST(SerdeFuzz, DatasetLoaders) {
+  const std::string csv_text = "1,0.5,1.5,-2\n-1,2.0,0.25,3e-3\n0,7,8,9\n";
+  // Length-like fields: the label and a value token of each row.
+  Corpus csv{.name = "load_csv",
+             .input = Bytes(csv_text.begin(), csv_text.end()),
+             .length_fields = {0, 2, csv_text.find("-1,") + 3,
+                               csv_text.find("0,7") + 2},
+             .text = true,
+             .decode = [](std::span<const std::uint8_t> bytes) {
+               std::istringstream in(std::string(bytes.begin(), bytes.end()));
+               data::load_csv(in);
+             }};
+  fuzz(csv, 9);
+
+  const std::string libsvm_text = "+1 1:0.5 3:1.5 7:-2\n-1 2:2.0 5:0.25\n";
+  // The feature indices: a hostile one is the inferred-width bomb.
+  Corpus libsvm{.name = "load_libsvm",
+                .input = Bytes(libsvm_text.begin(), libsvm_text.end()),
+                .length_fields = {libsvm_text.find("3:"),
+                                  libsvm_text.find("7:"),
+                                  libsvm_text.find("5:")},
+                .text = true,
+                .decode = [](std::span<const std::uint8_t> bytes) {
+                  std::istringstream in(
+                      std::string(bytes.begin(), bytes.end()));
+                  data::load_libsvm(in);
+                }};
+  fuzz(libsvm, 10);
 }
 
 // Hostile counts in a model file used to size the vector before any
