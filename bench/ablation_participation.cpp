@@ -5,6 +5,7 @@
 // the actual participant set, so the protocol stays exact). Trade-off:
 // fewer per-round local solves and contributions vs slower consensus.
 #include "bench/bench_common.h"
+#include "core/consensus_engine.h"
 #include "core/linear_horizontal.h"
 #include "data/partition.h"
 
@@ -29,12 +30,11 @@ int main() {
     core::AveragingCoordinator coordinator(
         dataset.split.train.features() + 1);
 
-    if (k == kLearners) {
-      core::run_consensus_in_memory(learners, coordinator, params);
-    } else {
-      core::run_consensus_partial_participation(learners, coordinator,
-                                                params, k, /*seed=*/5);
-    }
+    // K = M samples everyone each round: the full-participation run.
+    core::PartialParticipation policy(k, /*sampling_seed=*/5);
+    core::ConsensusEngine engine(learners, coordinator, params, policy);
+    core::InMemoryTransport transport;
+    engine.run(transport);
     const svm::LinearModel model{coordinator.z(), coordinator.s()};
     const double accuracy = svm::accuracy(
         model.predict_all(dataset.split.test.x), dataset.split.test.y);

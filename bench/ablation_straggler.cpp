@@ -55,17 +55,9 @@ EngineRun run_engine(const data::HorizontalPartition& partition,
         std::make_shared<core::LinearHorizontalLearner>(shard, m, params));
   core::AveragingCoordinator coordinator(k + 1);
   EngineRun out;
-  if (params.asynchronous()) {
-    core::BoundedStalenessPolicy policy;
-    core::ConsensusEngine engine(learners, coordinator, params, policy);
-    core::InMemoryTransport transport(plan);
-    out.run = engine.run(transport);
-  } else {
-    core::FullParticipation policy;
-    core::ConsensusEngine engine(learners, coordinator, params, policy);
-    core::InMemoryTransport transport;
-    out.run = engine.run(transport);
-  }
+  core::ConsensusEngine engine(learners, coordinator, params);
+  core::InMemoryTransport transport(plan);  // synchronous runs ignore the plan
+  out.run = engine.run(transport);
   out.model = svm::LinearModel{coordinator.z(), coordinator.s()};
   return out;
 }

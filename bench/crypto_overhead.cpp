@@ -56,17 +56,15 @@ BENCHMARK(BM_PlaintextSum)->Arg(16)->Arg(256)->Arg(4096);
 void BM_SecureSumSeededMasks(benchmark::State& state) {
   const std::size_t dim = static_cast<std::size_t>(state.range(0));
   const auto values = party_values(dim);
-  const crypto::FixedPointCodec codec(20, kParties);
-  const auto seeds = crypto::agree_pairwise_seeds(kParties, 5);
-  std::vector<crypto::SecureSumParty> parties;
-  for (std::size_t i = 0; i < kParties; ++i)
-    parties.emplace_back(i, kParties, codec, seeds[i]);
+  crypto::SecureSumConfig config;
+  config.num_parties = kParties;
+  config.protocol_seed = 5;
+  crypto::SecureSumSession session(config);
+  const std::vector<crypto::SecureSumSession::Tensor> tensors(values.begin(),
+                                                              values.end());
   std::size_t round = 0;
   for (auto _ : state) {
-    crypto::SecureSumAggregator aggregator(kParties, codec);
-    for (std::size_t i = 0; i < kParties; ++i)
-      aggregator.add(parties[i].masked_contribution(values[i], round));
-    benchmark::DoNotOptimize(aggregator.average());
+    benchmark::DoNotOptimize(session.average_once(tensors, round));
     ++round;
   }
   state.SetItemsProcessed(state.iterations() *

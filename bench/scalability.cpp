@@ -70,14 +70,15 @@ RunStats run_job(const data::SplitDataset& split, std::size_t m,
   };
 
   const auto start = std::chrono::steady_clock::now();
-  const auto result = core::run_consensus_on_cluster(
-      cluster, shards, factory, coordinator, k + 1, /*reducer_node=*/m,
-      params);
+  core::ConsensusEngine engine(m, coordinator, params);
+  core::FabricTransport transport(cluster, shards, factory,
+                                  /*reducer_node=*/m);
+  engine.run(transport);
   const auto stop = std::chrono::steady_clock::now();
 
   RunStats stats;
   stats.wall_seconds = std::chrono::duration<double>(stop - start).count();
-  stats.network_seconds = result.job.simulated_network_seconds;
+  stats.network_seconds = transport.job_stats().simulated_network_seconds;
   const auto totals = cluster.network().totals();
   stats.bytes = totals.bytes;
   stats.messages = totals.messages;
@@ -505,14 +506,15 @@ HiggsScaleStats run_higgs_scale(std::size_t rows, std::size_t learners,
   };
 
   const auto start = std::chrono::steady_clock::now();
-  const auto result = core::run_consensus_on_cluster(
-      cluster, shards, factory, coordinator, kFeatures + 1,
-      /*reducer_node=*/learners, params);
+  core::ConsensusEngine engine(learners, coordinator, params);
+  core::FabricTransport transport(cluster, shards, factory,
+                                  /*reducer_node=*/learners);
+  engine.run(transport);
   const auto stop = std::chrono::steady_clock::now();
 
   HiggsScaleStats out;
   out.run.wall_seconds = std::chrono::duration<double>(stop - start).count();
-  out.run.network_seconds = result.job.simulated_network_seconds;
+  out.run.network_seconds = transport.job_stats().simulated_network_seconds;
   const auto totals = cluster.network().totals();
   out.run.bytes = totals.bytes;
   out.run.messages = totals.messages;

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "core/cluster_trainers.h"
-#include "crypto/dropout_recovery.h"
+#include "crypto/secure_sum_session.h"
 #include "data/generators.h"
 #include "data/partition.h"
 #include "data/standardize.h"
@@ -48,10 +48,12 @@ int main() {
 
   std::printf("\n=== (b) Mid-round dropout in the secure sum ===\n");
   constexpr std::size_t kParties = 5;
-  const crypto::FixedPointCodec codec(20, kParties);
-  const auto seeds = crypto::agree_pairwise_seeds(kParties, 99);
+  crypto::SecureSumConfig sum_config;
+  sum_config.num_parties = kParties;
+  sum_config.protocol_seed = 99;
+  crypto::SecureSumSession session(sum_config);
   // Setup: every pairwise seed Shamir-shared with threshold 3.
-  const crypto::DropoutRecoverySession session(seeds, 3, 17);
+  session.arm_recovery(/*threshold=*/3, /*sharing_seed=*/17);
 
   std::vector<std::vector<double>> values(kParties, std::vector<double>(3));
   crypto::Xoshiro256 rng(4);
@@ -59,23 +61,26 @@ int main() {
     for (double& x : v) x = rng.next_double() * 10.0 - 5.0;
 
   constexpr std::size_t kDropped = 2;
+  std::vector<std::size_t> everyone(kParties);
+  for (std::size_t i = 0; i < kParties; ++i) everyone[i] = i;
   std::vector<std::size_t> survivors;
-  std::vector<std::vector<std::uint64_t>> contributions;
+  std::vector<std::vector<std::uint64_t>> contributions(kParties);
   std::vector<std::uint64_t> naive_total(3, 0);
   for (std::size_t i = 0; i < kParties; ++i) {
     if (i == kDropped) continue;
     survivors.push_back(i);
-    crypto::SecureSumParty party(i, kParties, codec, seeds[i]);
-    contributions.push_back(party.masked_contribution(values[i], 0));
-    crypto::ring_add_inplace(naive_total, contributions.back());
+    const crypto::SecureSumSession::Tensor tensor(values[i]);
+    contributions[i] = session.contribute(i, {&tensor, 1}, 0, everyone);
+    crypto::ring_add_inplace(naive_total, contributions[i]);
   }
   std::printf("party %zu dropped after mask setup\n", kDropped);
-  const auto garbage = codec.decode_vector(naive_total);
+  const auto garbage = session.codec().decode_vector(naive_total);
   std::printf("naive sum without recovery: (%.2f, %.2f, %.2f)  <- garbage\n",
               garbage[0], garbage[1], garbage[2]);
 
-  const auto recovered = crypto::recover_survivor_sum(
-      session, contributions, survivors, kDropped, 0, codec);
+  crypto::SecureSumSession::ReduceAudit audit;
+  session.reduce_average(0, everyone, survivors, contributions, &audit);
+  const std::vector<double>& recovered = audit.decoded_sum;
   double e0 = 0.0;
   double e1 = 0.0;
   double e2 = 0.0;

@@ -57,16 +57,18 @@ int main() {
             core::deserialize_horizontal_shard(payload), hospitals, captured);
       };
 
-  const auto result = core::run_consensus_on_cluster(
-      cluster, shards, factory, coordinator, k + 1,
-      /*reducer_node=*/kHospitals, params);
+  core::ConsensusEngine engine(kHospitals, coordinator, params);
+  core::FabricTransport transport(cluster, shards, factory,
+                                  /*reducer_node=*/kHospitals);
+  engine.run(transport);
+  const mapreduce::JobStats& job = transport.job_stats();
 
   const svm::LinearModel model{coordinator.z(), coordinator.s()};
   const auto predictions = model.predict_all(split.test.x);
   const auto confusion = svm::confusion(predictions, split.test.y);
 
-  std::printf("\ntraining: %zu rounds (%s)\n", result.job.rounds,
-              result.job.converged ? "converged" : "iteration budget");
+  std::printf("\ntraining: %zu rounds (%s)\n", job.rounds,
+              job.converged ? "converged" : "iteration budget");
   std::printf("held-out accuracy %.1f%%  precision %.1f%%  recall %.1f%%\n",
               confusion.accuracy() * 100.0, confusion.precision() * 100.0,
               confusion.recall() * 100.0);
@@ -78,6 +80,6 @@ int main() {
   }
   std::printf("  (raw patient records: 0 bytes — data locality + masking)\n");
   std::printf("simulated network time: %.3f s\n",
-              result.job.simulated_network_seconds);
+              job.simulated_network_seconds);
   return 0;
 }

@@ -28,10 +28,11 @@ int main() {
               seeds[0][1] == seeds[1][0] ? "yes" : "NO (bug!)");
 
   std::printf("\n=== Steps 1-4: masked contributions ===\n");
-  crypto::SecureSumAggregator aggregator(kParties, codec);
+  const std::vector<std::size_t> everyone{0, 1, 2};
+  std::vector<std::uint64_t> ring_sum(2, 0);  // the reducer's accumulator
   for (std::size_t i = 0; i < kParties; ++i) {
     crypto::SecureSumParty party(i, kParties, codec, seeds[i]);
-    const auto masked = party.masked_contribution(secrets[i], /*round=*/0);
+    const auto masked = party.mask(secrets[i], /*round=*/0, everyone);
     const auto plain = codec.encode_vector(secrets[i]);
     std::printf("party %zu secret (%.2f, %.2f)\n", i, secrets[i][0],
                 secrets[i][1]);
@@ -42,11 +43,12 @@ int main() {
                 " sees\n",
                 static_cast<unsigned long long>(masked[0]),
                 static_cast<unsigned long long>(masked[1]));
-    aggregator.add(masked);
+    crypto::ring_add_inplace(ring_sum, masked);
   }
 
   std::printf("\n=== Step 5: the reducer averages; masks cancel ===\n");
-  const auto average = aggregator.average();
+  auto average = codec.decode_vector(ring_sum);
+  for (double& v : average) v /= kParties;
   std::printf("secure average : (%.6f, %.6f)\n", average[0], average[1]);
   double e0 = 0.0;
   double e1 = 0.0;

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Documentation drift check: fail if any doc contains a dead relative
-# markdown link, a backticked path to a file that does not exist, or a
-# backticked symbol that appears nowhere in the code — and, in the other
+# markdown link, a backticked path to a file that does not exist, a
+# backticked symbol that appears nowhere in the code, or a backticked
+# snake_case identifier (two or more underscores, e.g. a function name)
+# that appears nowhere in the code outside `//` comments — and, in the other
 # direction, if the runtime emits a counter/gauge/histogram/series name
 # that docs/observability.md does not list. Run by verify.sh; cheap
 # enough to run on every commit.
@@ -31,6 +33,21 @@ with open("CMakeLists.txt", errors="replace") as fh:
     corpus.append(fh.read())
 corpus = "\n".join(corpus)
 
+# Code with `//` comments stripped, perfbench/ included: a function that was
+# deleted but is still named in a comment must not count as existing.
+code_only = []
+code_files = ["CMakeLists.txt"] + [
+    os.path.join(root, f)
+    for d in CORPUS_DIRS + ["perfbench"]
+    for root, _, files in os.walk(d)
+    for f in files
+    if f.endswith((".h", ".cpp", ".cmake", ".txt", ".sh", ".py"))
+]
+for path in code_files:
+    with open(path, errors="replace") as fh:
+        code_only.extend(line.split("//", 1)[0] for line in fh)
+code_only = "\n".join(code_only)
+
 # Runtime outputs and globs are not repo files; only these extensions are
 # expected to exist in the tree.
 CHECKED_EXTS = (".h", ".cpp", ".md", ".sh", ".cmake")
@@ -41,6 +58,7 @@ PATHISH_RE = re.compile(r"^[A-Za-z0-9_.{},/\-]+$")
 QUALIFIED_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+(\(\))?$")
 TEST_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*\.[A-Z][A-Za-z0-9_]*$")
 CAMEL_RE = re.compile(r"^[A-Z][a-z][A-Za-z0-9]{4,}$")
+SNAKE_RE = re.compile(r"^([a-z][a-z0-9]*(?:_[a-z0-9]+){2,})(\(\))?$")
 
 
 def strip_fences(text):
@@ -95,6 +113,7 @@ def symbol_exists(name):
 
 
 errors = []
+snake_checked = 0
 for doc in DOCS:
     if not os.path.exists(doc):
         continue
@@ -121,6 +140,12 @@ for doc in DOCS:
             leaf = token.rstrip("()").split("::")[-1]
             if not symbol_exists(leaf):
                 errors.append(f"{doc}: unknown symbol -> {token}")
+            continue
+        sm = SNAKE_RE.match(token)
+        if sm:
+            snake_checked += 1
+            if not re.search(r"\b%s\b" % sm.group(1), code_only):
+                errors.append(f"{doc}: unknown identifier -> {token}")
             continue
         if TEST_RE.match(token):
             suite, name = token.split(".", 1)
@@ -183,5 +208,6 @@ if errors:
         print(e, file=sys.stderr)
     print(f"check_docs: {len(errors)} problem(s)", file=sys.stderr)
     sys.exit(1)
-print(f"check_docs: OK ({len(DOCS)} docs)")
+print(f"check_docs: OK ({len(DOCS)} docs, "
+      f"{snake_checked} snake_case identifiers)")
 PYEOF

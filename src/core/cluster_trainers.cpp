@@ -11,6 +11,26 @@ void check_cluster(const mapreduce::Cluster& cluster, std::size_t learners) {
              "node");
 }
 
+/// The consensus loop as an iterative MapReduce job: an engine on the
+/// policy `params` selects, driven by a FabricTransport that stores learner
+/// i's shard on node i and runs the reducer on node M.
+ClusterTrainResult run_on_fabric(mapreduce::Cluster& cluster,
+                                 const std::vector<mapreduce::Bytes>& shards,
+                                 const LearnerFactory& factory,
+                                 ConsensusCoordinator& coordinator,
+                                 const AdmmParams& params,
+                                 mapreduce::JobConfig job_config) {
+  ConsensusEngine engine(shards.size(), coordinator, params);
+  FabricTransport transport(cluster, shards, factory,
+                            /*reducer_node=*/shards.size(), job_config);
+  ClusterTrainResult result;
+  result.run = engine.run(transport);
+  result.job = transport.job_stats();
+  result.delta_trace = transport.delta_trace();
+  result.dropout_events = transport.dropout_events();
+  return result;
+}
+
 }  // namespace
 
 LinearHorizontalClusterResult train_linear_horizontal_on_cluster(
@@ -36,8 +56,7 @@ LinearHorizontalClusterResult train_linear_horizontal_on_cluster(
 
   LinearHorizontalClusterResult result;
   result.cluster =
-      run_consensus_on_cluster(cluster, shards, factory, coordinator, k + 1,
-                               /*reducer_node=*/m, params, job_config);
+      run_on_fabric(cluster, shards, factory, coordinator, params, job_config);
   result.model = svm::LinearModel{coordinator.z(), coordinator.s()};
   return result;
 }
@@ -74,9 +93,8 @@ KernelHorizontalClusterResult train_kernel_horizontal_on_cluster(
       };
 
   KernelHorizontalClusterResult result;
-  result.cluster = run_consensus_on_cluster(
-      cluster, shards, factory, coordinator, params.landmarks + 1,
-      /*reducer_node=*/m, params, job_config);
+  result.cluster =
+      run_on_fabric(cluster, shards, factory, coordinator, params, job_config);
   PPML_CHECK(typed.front() != nullptr,
              "train_kernel_horizontal_on_cluster: learner 0 never ran");
   result.model = typed.front()->build_model();
@@ -107,9 +125,8 @@ LinearVerticalClusterResult train_linear_vertical_on_cluster(
   };
 
   LinearVerticalClusterResult result;
-  result.cluster = run_consensus_on_cluster(
-      cluster, shards, factory, coordinator, partition.rows(),
-      /*reducer_node=*/m, params, job_config);
+  result.cluster =
+      run_on_fabric(cluster, shards, factory, coordinator, params, job_config);
   result.model.feature_indices = partition.feature_indices;
   result.model.b = coordinator.bias();
   for (const auto& learner : typed) {
@@ -145,9 +162,8 @@ KernelVerticalClusterResult train_kernel_vertical_on_cluster(
   };
 
   KernelVerticalClusterResult result;
-  result.cluster = run_consensus_on_cluster(
-      cluster, shards, factory, coordinator, partition.rows(),
-      /*reducer_node=*/m, params, job_config);
+  result.cluster =
+      run_on_fabric(cluster, shards, factory, coordinator, params, job_config);
   result.model.kernel = kernel;
   result.model.feature_indices = partition.feature_indices;
   result.model.b = coordinator.bias();

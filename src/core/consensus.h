@@ -12,11 +12,9 @@
 // ConsensusLearner is the Map() side; ConsensusCoordinator is the Reduce()
 // side minus the secure summation. The loop itself lives in ONE place —
 // core::ConsensusEngine (consensus_engine.h) — parameterized by a
-// RoundPolicy (who participates) and a Transport (where rounds execute).
-// The run_consensus_* entry points below are compatibility wrappers: each
-// is a one-policy configuration of the engine on the InMemoryTransport;
-// the MapReduce-backed driver (mapreduce_adapter.h) is the same engine on
-// the FabricTransport.
+// RoundPolicy (who participates) and a Transport (where rounds execute):
+// the in-memory trainers run it on the InMemoryTransport, the cluster
+// trainers on the FabricTransport (mapreduce_adapter.h).
 #pragma once
 
 #include <functional>
@@ -100,46 +98,15 @@ struct ConsensusRunResult {
   std::size_t staleness_drops = 0;  ///< parties dropped past max_staleness
 };
 
-/// In-memory driver: runs the loop with the real secure-summation protocol
-/// (mask algebra and fixed-point codec included) but without the simulated
-/// cluster plumbing.
-ConsensusRunResult run_consensus_in_memory(
-    std::vector<std::shared_ptr<ConsensusLearner>>& learners,
-    ConsensusCoordinator& coordinator, const AdmmParams& params,
-    const RoundObserver& observer = nullptr);
-
-/// Randomized PARTIAL participation: each round samples
-/// `participants_per_round` learners (without replacement, deterministic
-/// in `sampling_seed`); only they run a local step and enter the secure
-/// average — randomized block-coordinate ADMM. Models sampled rounds /
-/// planned absences; masks are generated per round against the actual
-/// participant set so the protocol stays exact. Requires kSeededMasks.
-ConsensusRunResult run_consensus_partial_participation(
-    std::vector<std::shared_ptr<ConsensusLearner>>& learners,
-    ConsensusCoordinator& coordinator, const AdmmParams& params,
-    std::size_t participants_per_round, std::uint64_t sampling_seed,
-    const RoundObserver& observer = nullptr);
-
-/// Scheduled PERMANENT dropouts for run_consensus_with_dropout. Parties in
-/// drops[r] fail at round r *after* computing their masked contribution
-/// (the worst case: their pairwise masks are woven into the survivors'
-/// vectors and must be corrected via seed reconstruction).
+/// Scheduled PERMANENT dropouts for the ScheduledDropout round policy
+/// (consensus_engine.h). Parties in drops[r] fail at round r *after*
+/// computing their masked contribution (the worst case: their pairwise
+/// masks are woven into the survivors' vectors and must be corrected via
+/// seed reconstruction).
 struct DropoutSchedule {
   std::map<std::size_t, std::vector<std::size_t>> drops;  ///< round -> parties
   std::size_t threshold = 0;  ///< Shamir threshold; 0 = clamp(M/2+1, 2, M-1)
   std::uint64_t sharing_seed = 0xD509;
 };
-
-/// In-memory driver with graceful degradation — the unit-testable reference
-/// for the cluster's dropout-recovery path. Every round masks against the
-/// current live set; when a scheduled party drops post-mask, the reducer
-/// logic reconstructs its pairwise seeds from the Shamir shares, corrects
-/// the ring sum, and the consensus continues as an exact M'-party ADMM
-/// (survivors are told via on_cohort_resize). Requires kSeededMasks and
-/// M >= 3; at least two parties must survive the whole schedule.
-ConsensusRunResult run_consensus_with_dropout(
-    std::vector<std::shared_ptr<ConsensusLearner>>& learners,
-    ConsensusCoordinator& coordinator, const AdmmParams& params,
-    const DropoutSchedule& schedule, const RoundObserver& observer = nullptr);
 
 }  // namespace ppml::core

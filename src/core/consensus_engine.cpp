@@ -210,6 +210,16 @@ double unit_roll(crypto::SplitMix64& gen) {
   return static_cast<double>(gen.next() >> 11) * 0x1.0p-53;
 }
 
+/// The policy an engine runs when the caller names none — the one place
+/// the bulk-synchronous vs bounded-staleness choice is made. Opting into
+/// async_quorum_fraction swaps the paper's loop for asynchronous rounds;
+/// the default stays FullParticipation.
+std::unique_ptr<RoundPolicy> policy_for(const AdmmParams& params) {
+  if (params.asynchronous())
+    return std::make_unique<BoundedStalenessPolicy>(params.dropout_threshold);
+  return std::make_unique<FullParticipation>();
+}
+
 }  // namespace
 
 crypto::SecureSumConfig ConsensusEngine::build_config(std::size_t num_learners,
@@ -228,42 +238,55 @@ crypto::SecureSumConfig ConsensusEngine::build_config(std::size_t num_learners,
 }
 
 ConsensusEngine::ConsensusEngine(
-    std::vector<std::shared_ptr<ConsensusLearner>>& learners,
-    ConsensusCoordinator& coordinator, const AdmmParams& params,
-    RoundPolicy& policy)
-    : learners_(&learners),
+    std::vector<std::shared_ptr<ConsensusLearner>>* learners,
+    std::size_t num_learners, ConsensusCoordinator& coordinator,
+    const AdmmParams& params, RoundPolicy* policy)
+    : learners_(learners),
       coordinator_(coordinator),
       params_(params),
-      policy_(policy),
-      num_learners_(learners.size()),
-      session_(build_config(learners.size(), params, policy)) {
-  dim_ = learners.front()->contribution_dim();
-  for (const auto& learner : learners)
-    PPML_CHECK(learner->contribution_dim() == dim_,
-               "consensus engine: contribution dims differ");
+      owned_policy_(policy != nullptr ? nullptr : policy_for(params)),
+      policy_(policy != nullptr ? *policy : *owned_policy_),
+      num_learners_(num_learners),
+      session_(build_config(num_learners, params, policy_)) {
   live_.resize(num_learners_);
   for (std::size_t i = 0; i < num_learners_; ++i) live_[i] = i;
-  if (policy_.wants_recovery())
-    session_.arm_recovery(policy_.recovery_threshold_request(),
-                          policy_.recovery_sharing_seed());
+  if (learners_ != nullptr) {
+    dim_ = learners_->front()->contribution_dim();
+    for (const auto& learner : *learners_)
+      PPML_CHECK(learner->contribution_dim() == dim_,
+                 "consensus engine: contribution dims differ");
+    // A distributed transport arms recovery itself, on its epoch schedule
+    // (arm_fabric_recovery).
+    if (policy_.wants_recovery())
+      session_.arm_recovery(policy_.recovery_threshold_request(),
+                            policy_.recovery_sharing_seed());
+  }
   if (params_.watchdog_window > 0)
     watchdog_.emplace(watchdog_config(params_));
 }
 
+ConsensusEngine::ConsensusEngine(
+    std::vector<std::shared_ptr<ConsensusLearner>>& learners,
+    ConsensusCoordinator& coordinator, const AdmmParams& params,
+    RoundPolicy& policy)
+    : ConsensusEngine(&learners, learners.size(), coordinator, params,
+                      &policy) {}
+
+ConsensusEngine::ConsensusEngine(
+    std::vector<std::shared_ptr<ConsensusLearner>>& learners,
+    ConsensusCoordinator& coordinator, const AdmmParams& params)
+    : ConsensusEngine(&learners, learners.size(), coordinator, params,
+                      nullptr) {}
+
 ConsensusEngine::ConsensusEngine(std::size_t num_learners,
                                  ConsensusCoordinator& coordinator,
                                  const AdmmParams& params, RoundPolicy& policy)
-    : learners_(nullptr),
-      coordinator_(coordinator),
-      params_(params),
-      policy_(policy),
-      num_learners_(num_learners),
-      session_(build_config(num_learners, params, policy)) {
-  live_.resize(num_learners_);
-  for (std::size_t i = 0; i < num_learners_; ++i) live_[i] = i;
-  if (params_.watchdog_window > 0)
-    watchdog_.emplace(watchdog_config(params_));
-}
+    : ConsensusEngine(nullptr, num_learners, coordinator, params, &policy) {}
+
+ConsensusEngine::ConsensusEngine(std::size_t num_learners,
+                                 ConsensusCoordinator& coordinator,
+                                 const AdmmParams& params)
+    : ConsensusEngine(nullptr, num_learners, coordinator, params, nullptr) {}
 
 ConsensusRunResult ConsensusEngine::run(Transport& transport,
                                         const RoundObserver& observer) {
@@ -341,22 +364,11 @@ const Vector& ConsensusEngine::step_round(std::size_t round) {
   {
     obs::Span sum_span("secure_sum", "core");
     std::vector<std::vector<std::uint64_t>> wire(num_learners_);
-    if (params_.mask_variant == crypto::MaskVariant::kExchangedMasks) {
-      // Literal protocol: derive every party's fresh masks once, then
-      // contribute against the cached exchange.
-      session_.exchange_round(round, dim_);
-      for (std::size_t k = 0; k < participants.size(); ++k) {
-        const crypto::SecureSumSession::Tensor tensor = contributions[k];
-        wire[participants[k]] =
-            session_.contribute_exchanged(participants[k], {&tensor, 1}, round);
-      }
-    } else {
-      for (std::size_t k = 0; k < participants.size(); ++k) {
-        const crypto::SecureSumSession::Tensor tensor = contributions[k];
-        wire[participants[k]] =
-            session_.contribute(participants[k], {&tensor, 1}, round,
-                                participants);
-      }
+    for (std::size_t k = 0; k < participants.size(); ++k) {
+      const crypto::SecureSumSession::Tensor tensor = contributions[k];
+      wire[participants[k]] =
+          session_.contribute(participants[k], {&tensor, 1}, round,
+                              participants);
     }
 
     // Scheduled post-mask drops: the victims' contributions vanish but

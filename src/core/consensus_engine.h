@@ -1,36 +1,36 @@
-// The one consensus-ADMM round loop behind all drivers.
+// The one consensus-ADMM round loop behind every driver.
 //
-// Historically the repo carried four copies of the paper's Fig. 1 loop —
-// run_consensus_in_memory, run_consensus_partial_participation,
-// run_consensus_with_dropout (core/consensus.cpp) and the MapReduce path
-// (core/mapreduce_adapter.cpp) — each re-deriving SecureSumParty setup,
-// aggregation, spans and dropout bookkeeping. They are now thin
-// configurations of one ConsensusEngine, varied along two seams:
+// The paper's Fig. 1 loop lives in one ConsensusEngine, varied along two
+// seams:
 //
 //   RoundPolicy  — WHO takes part in a round and WHAT may go wrong:
 //                  FullParticipation, PartialParticipation (randomized
 //                  block-coordinate ADMM), ScheduledDropout (post-mask
-//                  permanent loss with Shamir recovery).
+//                  permanent loss with Shamir recovery) and
+//                  BoundedStalenessPolicy (asynchronous rounds). An engine
+//                  built without a policy picks Full or BoundedStaleness
+//                  from AdmmParams::asynchronous().
 //   Transport    — WHERE the round body executes: InMemoryTransport (this
 //                  header) drives learners in-process; FabricTransport
 //                  (core/mapreduce_adapter.h) binds the engine to the
 //                  simulated MapReduce cluster, bytes on the wire included.
 //
-// The protocol work of a round — batched masking via
-// crypto::SecureSumSession, ring aggregation, dropout correction,
+// The protocol work of a round — batched masking through
+// crypto::SecureSumSession::contribute (one SecureSumParty::mask per party,
+// either variant, any edge set), ring aggregation, dropout correction,
 // coordinator combine, convergence, obs spans/series — lives HERE, once.
 // Transports own only scheduling: the in-memory transport loops and calls
 // step_round(); the fabric's mapper/reducer shims deserialize bytes and
-// call the engine's session / reduce_round().
+// call SecureSumParty::mask / reduce_round().
 //
-// Every configuration is bit-identical to the legacy driver it replaces
-// (tests/consensus_engine_test.cpp pins EXPECT_EQ against verbatim copies
-// of the seed drivers). The legacy entry points in core/consensus.h remain
-// as compatibility wrappers over this engine.
+// Every configuration is bit-identical to the hand-rolled drivers it
+// replaced (tests/consensus_engine_test.cpp pins golden digests recorded
+// from them).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -269,16 +269,23 @@ class InMemoryTransport final : public Transport {
 /// recovery → combine → convergence) shared by every driver.
 class ConsensusEngine {
  public:
-  /// In-process engine: owns the learners' local steps.
+  /// In-process engine: owns the learners' local steps. Without a policy
+  /// the engine owns the one `params` selects: BoundedStalenessPolicy when
+  /// params.asynchronous(), FullParticipation otherwise.
   ConsensusEngine(std::vector<std::shared_ptr<ConsensusLearner>>& learners,
                   ConsensusCoordinator& coordinator, const AdmmParams& params,
                   RoundPolicy& policy);
+  ConsensusEngine(std::vector<std::shared_ptr<ConsensusLearner>>& learners,
+                  ConsensusCoordinator& coordinator, const AdmmParams& params);
 
   /// Reducer-side engine for a distributed transport: local steps happen
   /// remotely, the engine only aggregates/combines (reduce_round). The
-  /// learner count is still needed for the mask algebra.
+  /// learner count is still needed for the mask algebra. Without a policy,
+  /// as above.
   ConsensusEngine(std::size_t num_learners, ConsensusCoordinator& coordinator,
                   const AdmmParams& params, RoundPolicy& policy);
+  ConsensusEngine(std::size_t num_learners, ConsensusCoordinator& coordinator,
+                  const AdmmParams& params);
 
   /// Run to completion on `transport`.
   ConsensusRunResult run(Transport& transport,
@@ -367,6 +374,12 @@ class ConsensusEngine {
   }
 
  private:
+  /// `learners` null = reducer-side engine; `policy` null = the engine owns
+  /// the policy `params` selects.
+  ConsensusEngine(std::vector<std::shared_ptr<ConsensusLearner>>* learners,
+                  std::size_t num_learners, ConsensusCoordinator& coordinator,
+                  const AdmmParams& params, RoundPolicy* policy);
+
   static crypto::SecureSumConfig build_config(std::size_t num_learners,
                                               const AdmmParams& params,
                                               RoundPolicy& policy);
@@ -396,6 +409,7 @@ class ConsensusEngine {
   std::vector<std::shared_ptr<ConsensusLearner>>* learners_;  // null = remote
   ConsensusCoordinator& coordinator_;
   AdmmParams params_;
+  std::unique_ptr<RoundPolicy> owned_policy_;  ///< set when none was passed
   RoundPolicy& policy_;
   std::size_t num_learners_;
   std::size_t dim_ = 0;  ///< contribution dim (in-process engines)

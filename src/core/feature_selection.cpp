@@ -94,9 +94,6 @@ FeatureSelectionResult secure_fisher_scores(
           .next();
   config.topology = params.agg_topology;
   config.group_size = params.agg_group_size;
-  // Historical constant: this path has always derived its exchanged-variant
-  // party seeds with secure_average's multiplier.
-  config.exchanged_seed_mult = 0x2545f4914f6cdd1dULL;
   crypto::SecureSumSession session(config);
 
   const std::vector<crypto::SecureSumSession::Tensor> tensors(

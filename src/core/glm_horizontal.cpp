@@ -198,8 +198,9 @@ GlmHorizontalResult run_glm(
     }
     result.trace.records.push_back(record);
   };
-  result.run =
-      run_consensus_in_memory(learners, coordinator, params.as_admm(), observer);
+  InMemoryTransport transport;
+  result.run = ConsensusEngine(learners, coordinator, params.as_admm())
+                   .run(transport, observer);
   result.model = svm::LinearModel{coordinator.z(), coordinator.s()};
   return result;
 }

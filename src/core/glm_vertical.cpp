@@ -159,7 +159,9 @@ GlmVerticalResult run_vertical_glm(const data::VerticalPartition& partition,
     result.trace.records.push_back(record);
   };
 
-  result.run = run_consensus_in_memory(learners, coordinator, admm, observer);
+  InMemoryTransport transport;
+  result.run =
+      ConsensusEngine(learners, coordinator, admm).run(transport, observer);
   result.model.feature_indices = partition.feature_indices;
   result.model.b = bias();
   for (const auto& learner : typed)

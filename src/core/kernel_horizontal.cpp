@@ -247,7 +247,9 @@ KernelHorizontalResult train_kernel_horizontal(
     result.trace.records.push_back(record);
   };
 
-  result.run = run_consensus_in_memory(learners, coordinator, params, observer);
+  InMemoryTransport transport;
+  result.run =
+      ConsensusEngine(learners, coordinator, params).run(transport, observer);
   result.model = typed.front()->build_model();
   return result;
 }

@@ -189,7 +189,9 @@ LinearHorizontalResult train_linear_horizontal(
     result.trace.records.push_back(record);
   };
 
-  result.run = run_consensus_in_memory(learners, coordinator, params, observer);
+  InMemoryTransport transport;
+  result.run =
+      ConsensusEngine(learners, coordinator, params).run(transport, observer);
   result.model = svm::LinearModel{coordinator.z(), coordinator.s()};
   return result;
 }

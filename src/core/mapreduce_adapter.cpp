@@ -50,7 +50,8 @@ class SecureConsensusMapper final : public mapreduce::IterativeMapper {
       // the whole cohort instead of one per mapper).
       party_.emplace(index, num_learners,
                      crypto::SecureSumSession::codec_for(config_),
-                     std::move(pairwise_seeds));
+                     std::move(pairwise_seeds), config_.topology,
+                     config_.group_size);
     } else {
       party_.emplace(crypto::SecureSumSession::make_party(config_, index));
     }
@@ -110,32 +111,28 @@ class SecureConsensusMapper final : public mapreduce::IterativeMapper {
 
     std::vector<std::uint64_t> masked;
     if (config_.variant == crypto::MaskVariant::kSeededMasks) {
-      if (config_.topology == crypto::AggregationTopology::kGroupedRing) {
-        // Every mapper derives the identical group layout from the sorted
-        // live set, so mapper- and reducer-side edge sets always agree.
-        masked = party_->masked_contribution_subset(
-            contribution, round,
-            crypto::grouped_mask_set(live_, config_.group_size, index_));
-      } else if (live_.size() < num_learners_) {
-        // Against a shrunken cohort, mask only over the live set — exactly
-        // the partial-participation algebra, so the survivors' masks cancel
-        // without any reducer-side correction.
-        masked = party_->masked_contribution_subset(contribution, round,
-                                                    live_);
-      } else {
-        masked = party_->masked_contribution(contribution, round);
-      }
+      // Masks run over the live set, so against a shrunken cohort the
+      // survivors' masks cancel without any reducer-side correction. Every
+      // mapper derives the same edge set from the sorted live set, so
+      // mapper- and reducer-side edge sets always agree.
+      masked = party_->mask(contribution, round, live_);
     } else {
+      if (sent_round_ != round) {
+        sent_cache_ =
+            party_->outgoing_masks(round, learner_->contribution_dim());
+        sent_round_ = round;
+      }
       std::vector<std::vector<std::uint64_t>> received(peer_messages.size());
       for (std::size_t j = 0; j < peer_messages.size(); ++j) {
         if (j == index_ || peer_messages[j].empty()) continue;
         Reader reader(peer_messages[j]);
         received[j] = reader.get_u64_vector();
       }
-      masked = sent_round_ == round
-                   ? party_->masked_contribution_cached(contribution,
-                                                        sent_cache_, received)
-                   : party_->masked_contribution(contribution, received, round);
+      const std::vector<std::span<const std::uint64_t>> sent_views(
+          sent_cache_.begin(), sent_cache_.end());
+      const std::vector<std::span<const std::uint64_t>> received_views(
+          received.begin(), received.end());
+      masked = party_->mask(contribution, sent_views, received_views, round);
     }
     Writer writer;
     writer.reserve(mapreduce::wire_size_words(masked.size()));
@@ -259,7 +256,7 @@ ConsensusRunResult FabricTransport::run(ConsensusEngine& engine,
   PPML_CHECK(reducer_node_ < cluster_.num_nodes(),
              "FabricTransport: reducer node out of range");
   const AdmmParams& params = engine.params();
-  if (params.asynchronous()) {
+  if (engine.policy().asynchronous()) {
     // Bounded-staleness on the fabric = a deadline-bounded contribution
     // wait: the job drops (and later rejoins) mappers that blow the round
     // budget, and the engine's recovery path corrects their woven-in masks.
@@ -307,28 +304,6 @@ ConsensusRunResult FabricTransport::run(ConsensusEngine& engine,
   result.converged = job_stats_.converged;
   engine.finalize_result(result);
   result.deadline_expirations = job_stats_.deadline_misses;
-  return result;
-}
-
-ClusterTrainResult run_consensus_on_cluster(
-    mapreduce::Cluster& cluster, const std::vector<Bytes>& shards,
-    const LearnerFactory& factory, ConsensusCoordinator& coordinator,
-    std::size_t consensus_dim, mapreduce::NodeId reducer_node,
-    const AdmmParams& params, mapreduce::JobConfig job_config) {
-  (void)consensus_dim;
-  FullParticipation full_policy;
-  BoundedStalenessPolicy async_policy(params.dropout_threshold);
-  RoundPolicy& policy = params.asynchronous()
-                            ? static_cast<RoundPolicy&>(async_policy)
-                            : static_cast<RoundPolicy&>(full_policy);
-  ConsensusEngine engine(shards.size(), coordinator, params, policy);
-  FabricTransport transport(cluster, shards, factory, reducer_node,
-                            job_config);
-  ClusterTrainResult result;
-  result.run = engine.run(transport, nullptr);
-  result.job = transport.job_stats();
-  result.delta_trace = transport.delta_trace();
-  result.dropout_events = transport.dropout_events();
   return result;
 }
 

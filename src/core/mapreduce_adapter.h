@@ -6,12 +6,13 @@
 // the mapper loads it through the locality-enforcing read API and builds
 // the ConsensusLearner from the *bytes on its own disk* — raw training data
 // never crosses the network (tests assert this on the wire). Contributions
-// travel masked (each mapper holds a crypto::SecureSumParty derived via
-// SecureSumSession::make_party); the reducer node delegates aggregation,
-// dropout recovery and the coordinator combine to ConsensusEngine::
-// reduce_round and feeds the consensus back over the broadcast channel.
-// run_consensus_on_cluster remains as the compatibility entry point:
-// engine + FabricTransport, nothing more.
+// travel masked: each mapper holds a crypto::SecureSumParty (derived via
+// SecureSumSession::make_party) and masks with SecureSumParty::mask over
+// its live cohort, the same routine the in-memory engine's session runs.
+// The reducer node delegates aggregation, dropout recovery and the
+// coordinator combine to ConsensusEngine::reduce_round and feeds the
+// consensus back over the broadcast channel. A run is engine +
+// FabricTransport, nothing more (core/cluster_trainers.cpp).
 #pragma once
 
 #include <functional>
@@ -61,6 +62,17 @@ struct ClusterTrainResult {
 /// contributions; the reducer shim feeds them to engine.reduce_round().
 /// One FabricTransport drives one run; job stats / traces are readable
 /// afterwards.
+///
+/// With job_config.tolerate_mapper_loss (requires kSeededMasks and M >= 3)
+/// the run survives permanent learner loss: pre-mask losses shrink the mask
+/// set, post-mask losses are corrected by the reducer via Shamir
+/// reconstruction of the dropped party's pairwise seeds
+/// (crypto/dropout_recovery.h), and the ADMM average reweights over the
+/// M' survivors (ConsensusLearner::on_cohort_resize). A rejoining learner
+/// triggers fresh key agreement for everyone (new epoch) — the reducer
+/// burned its old seeds. An asynchronous engine policy turns the same
+/// machinery into a deadline-bounded contribution wait. See
+/// docs/fault_tolerance.md.
 class FabricTransport final : public Transport {
  public:
   /// `shards[i]` is learner i's serialized private data, stored on node i
@@ -93,28 +105,6 @@ class FabricTransport final : public Transport {
   std::vector<double> delta_trace_;
   std::vector<DropoutEvent> dropout_events_;
 };
-
-/// Run the consensus loop as an iterative MapReduce job.
-///
-/// `shards[i]` is learner i's serialized private data, stored on node i
-/// (with the cluster's replication factor). `coordinator` runs on
-/// `reducer_node`. Requires cluster.num_nodes() >= shards.size() and a
-/// distinct reducer node is recommended (the paper's reducer is a separate
-/// role).
-///
-/// With job_config.tolerate_mapper_loss (requires kSeededMasks and M >= 3)
-/// the run survives permanent learner loss: pre-mask losses shrink the mask
-/// set, post-mask losses are corrected by the reducer via Shamir
-/// reconstruction of the dropped party's pairwise seeds
-/// (crypto/dropout_recovery.h), and the ADMM average reweights over the
-/// M' survivors (ConsensusLearner::on_cohort_resize). A rejoining learner
-/// triggers fresh key agreement for everyone (new epoch) — the reducer
-/// burned its old seeds. See docs/fault_tolerance.md.
-ClusterTrainResult run_consensus_on_cluster(
-    mapreduce::Cluster& cluster, const std::vector<mapreduce::Bytes>& shards,
-    const LearnerFactory& factory, ConsensusCoordinator& coordinator,
-    std::size_t consensus_dim, mapreduce::NodeId reducer_node,
-    const AdmmParams& params, mapreduce::JobConfig job_config = {});
 
 /// Shard payload helpers shared by the trainers and tests. Deserializers
 /// take views so a mapper can stream a spilled split's mmap directly.

@@ -207,7 +207,9 @@ LinearVerticalResult train_linear_vertical(
     result.trace.records.push_back(record);
   };
 
-  result.run = run_consensus_in_memory(learners, coordinator, params, observer);
+  InMemoryTransport transport;
+  result.run =
+      ConsensusEngine(learners, coordinator, params).run(transport, observer);
   for (const auto& learner : typed)
     result.model.w_blocks.push_back(learner->w());
   result.model.b = coordinator.bias();
@@ -263,7 +265,9 @@ KernelVerticalResult train_kernel_vertical(
     result.trace.records.push_back(record);
   };
 
-  result.run = run_consensus_in_memory(learners, coordinator, params, observer);
+  InMemoryTransport transport;
+  result.run =
+      ConsensusEngine(learners, coordinator, params).run(transport, observer);
 
   result.model.kernel = kernel;
   result.model.feature_indices = partition.feature_indices;

@@ -89,50 +89,4 @@ std::vector<std::uint64_t> DropoutRecoverySession::mask_correction(
   return correction;
 }
 
-std::vector<double> recover_survivor_sum(
-    const DropoutRecoverySession& session,
-    const std::vector<std::vector<std::uint64_t>>& survivor_contributions,
-    const std::vector<std::size_t>& survivors, std::size_t dropped,
-    std::size_t round, const FixedPointCodec& codec) {
-  PPML_CHECK(survivor_contributions.size() == survivors.size(),
-             "recover_survivor_sum: contribution count mismatch");
-  PPML_CHECK(survivors.size() >= session.threshold(),
-             "recover_survivor_sum: not enough survivors to reconstruct");
-  PPML_CHECK(!survivor_contributions.empty(),
-             "recover_survivor_sum: no survivors");
-  // Declare the dropout before any reveal: reconstruction of a DROPPED
-  // party's seeds is sanctioned; the identical reveals against a live pair
-  // would trip the ledger's exposure check.
-  if (obs::PrivacyLedger* ledger = obs::privacy_ledger())
-    ledger->note_party_dropped(session.sharing_seed(), dropped);
-  const std::size_t dim = survivor_contributions.front().size();
-
-  // Sum the survivors' masked contributions. Masks between survivors
-  // cancel pairwise as usual; only masks with the dropped party remain.
-  std::vector<std::uint64_t> total(dim, 0);
-  for (const auto& contribution : survivor_contributions) {
-    PPML_CHECK(contribution.size() == dim,
-               "recover_survivor_sum: dimension mismatch");
-    ring_add_inplace(total, contribution);
-  }
-
-  // Reconstruct s_{dropped, j} for every survivor j from the first
-  // `threshold` survivors' revealed shares.
-  std::vector<std::uint64_t> reconstructed(session.parties(), 0);
-  for (std::size_t j : survivors) {
-    std::vector<ShamirShare> revealed;
-    revealed.reserve(session.threshold());
-    for (std::size_t r = 0; r < session.threshold(); ++r)
-      revealed.push_back(session.share(survivors[r], dropped, j));
-    reconstructed[j] = DropoutRecoverySession::reconstruct_seed(revealed);
-    if (obs::PrivacyLedger* ledger = obs::privacy_ledger())
-      ledger->note_seed_reconstructed(session.sharing_seed(), dropped, j);
-  }
-
-  ring_add_inplace(total,
-                   DropoutRecoverySession::mask_correction(
-                       dropped, survivors, reconstructed, round, dim));
-  return codec.decode_vector(total);
-}
-
 }  // namespace ppml::crypto

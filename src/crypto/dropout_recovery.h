@@ -2,8 +2,8 @@
 //
 // A gap in the paper's §V protocol: if any mapper fails AFTER the others
 // computed their masked contributions, the pairwise masks involving the
-// dead party never cancel and the round's sum is garbage (the aggregator
-// tests enforce exactly that). This module closes the gap with the
+// dead party never cancel and the round's sum is garbage (the dropout
+// recovery tests enforce exactly that). This module closes the gap with the
 // standard secret-sharing remedy (cf. Bonawitz et al., CCS'17, simplified
 // to the semi-honest single-masking setting):
 //
@@ -14,6 +14,8 @@
 //            re-expands the round's masks, and removes the survivors'
 //            now-uncancelled mask terms from the aggregate. The result is
 //            the exact sum over the SURVIVORS.
+//            SecureSumSession::reduce_average runs this path whenever a
+//            party of the round's mask set is missing.
 //
 // Security note (documented trade-off): reconstruction burns the dropped
 // party's pairwise seeds — fine for a party that is gone; a returning
@@ -74,16 +76,5 @@ class DropoutRecoverySession {
   // shares_[owner][peer][holder] — owner<peer canonical order.
   std::vector<std::vector<std::vector<ShamirShare>>> shares_;
 };
-
-/// End-to-end helper used by tests and the fault-tolerance demo: sum the
-/// contributions of `survivors` (their masked vectors for `round`),
-/// reconstruct the dropped party's seeds from `session` (using the first
-/// `threshold` survivors' shares), apply the correction, and decode.
-/// Returns the exact sum over survivors' values.
-std::vector<double> recover_survivor_sum(
-    const DropoutRecoverySession& session,
-    const std::vector<std::vector<std::uint64_t>>& survivor_contributions,
-    const std::vector<std::size_t>& survivors, std::size_t dropped,
-    std::size_t round, const FixedPointCodec& codec);
 
 }  // namespace ppml::crypto

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "linalg/common.h"
 
@@ -88,29 +89,15 @@ std::vector<std::size_t> mask_peers(const GroupLayout& layout,
   return peers;
 }
 
-std::vector<std::size_t> grouped_mask_set(
-    std::span<const std::size_t> participants, std::size_t group_size,
-    std::size_t party) {
-  const GroupLayout layout = build_group_layout(participants, group_size);
-  std::vector<std::size_t> set = mask_peers(layout, party);
-  set.push_back(party);
-  std::sort(set.begin(), set.end());
-  return set;
-}
-
 std::size_t grouped_mask_edges(std::size_t num_participants,
                                std::size_t group_size) {
-  PPML_CHECK(num_participants >= 1,
-             "grouped_mask_edges: empty participant set");
-  const std::size_t size = resolve_group_size(group_size, num_participants);
-  const std::size_t num_groups = (num_participants + size - 1) / size;
-  const std::size_t base = num_participants / num_groups;
-  const std::size_t extra = num_participants % num_groups;
+  std::vector<std::size_t> participants(num_participants);
+  std::iota(participants.begin(), participants.end(), std::size_t{0});
+  const GroupLayout layout = build_group_layout(participants, group_size);
   std::size_t edges = 0;
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    const std::size_t count = base + (g < extra ? 1 : 0);
-    edges += count * (count - 1) / 2;
-  }
+  for (const std::vector<std::size_t>& group : layout.groups)
+    edges += group.size() * (group.size() - 1) / 2;
+  const std::size_t num_groups = layout.num_groups();
   if (num_groups >= 3)
     edges += num_groups;
   else if (num_groups == 2)

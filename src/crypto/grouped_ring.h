@@ -87,16 +87,10 @@ GroupLayout build_group_layout(std::span<const std::size_t> participants,
 /// The parties `party` shares a mask edge with under `layout`: its group
 /// peers, plus — when it leads its group and the ring is non-trivial — the
 /// adjacent groups' leaders. Sorted, deduplicated (a 2-group ring has one
-/// leader edge, not two), never contains `party` itself.
+/// leader edge, not two), never contains `party` itself. The edge list a
+/// grouped-ring SecureSumParty::mask expands streams over.
 std::vector<std::size_t> mask_peers(const GroupLayout& layout,
                                     std::size_t party);
-
-/// mask_peers ∪ {party} over the layout implied by (participants,
-/// group_size) — the participant subset `party` hands to
-/// SecureSumParty::masked_contribution_subset. `group_size` 0 = auto.
-std::vector<std::size_t> grouped_mask_set(
-    std::span<const std::size_t> participants, std::size_t group_size,
-    std::size_t party);
 
 /// |E| of the grouped-ring graph on M participants: sum_g C(|g|, 2)
 /// intra-group edges + the leader ring (G edges when G >= 3, one when

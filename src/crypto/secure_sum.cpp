@@ -19,12 +19,16 @@ SecureSumParty::SecureSumParty(std::size_t party_id, std::size_t num_parties,
 
 SecureSumParty::SecureSumParty(std::size_t party_id, std::size_t num_parties,
                                FixedPointCodec codec,
-                               std::vector<std::uint64_t> pairwise_seeds)
+                               std::vector<std::uint64_t> pairwise_seeds,
+                               AggregationTopology topology,
+                               std::size_t group_size)
     : party_id_(party_id),
       num_parties_(num_parties),
       codec_(codec),
       variant_(MaskVariant::kSeededMasks),
-      pairwise_seeds_(std::move(pairwise_seeds)) {
+      pairwise_seeds_(std::move(pairwise_seeds)),
+      topology_(topology),
+      group_size_(group_size) {
   PPML_CHECK(num_parties >= 2, "SecureSumParty: need >= 2 parties");
   PPML_CHECK(party_id < num_parties, "SecureSumParty: bad party id");
   PPML_CHECK(pairwise_seeds_.size() == num_parties,
@@ -53,26 +57,26 @@ std::vector<std::vector<std::uint64_t>> SecureSumParty::outgoing_masks(
   return out;
 }
 
-std::vector<std::uint64_t> SecureSumParty::masked_contribution(
-    std::span<const double> values,
-    const std::vector<std::vector<std::uint64_t>>& received,
-    std::size_t round) {
+std::vector<std::uint64_t> SecureSumParty::mask(
+    std::span<const double> values, PeerStreams sent, PeerStreams received,
+    std::size_t round) const {
   PPML_CHECK(variant_ == MaskVariant::kExchangedMasks,
-             "masked_contribution(received): exchanged variant only");
-  PPML_CHECK(received.size() == num_parties_,
-             "masked_contribution: need one slot per party");
+             "SecureSumParty::mask(sent, received): exchanged variant only");
+  PPML_CHECK(sent.size() == num_parties_ && received.size() == num_parties_,
+             "SecureSumParty::mask: need one mask slot per party");
   std::vector<std::uint64_t> out = codec_.encode_vector(values);
   // + Sed_i: the masks this party generated for its peers this round.
-  const auto sent = outgoing_masks(round, values.size());
   for (std::size_t peer = 0; peer < num_parties_; ++peer) {
     if (peer == party_id_) continue;
+    PPML_CHECK(sent[peer].size() == values.size(),
+               "SecureSumParty::mask: sent mask dimension mismatch");
     ring_add_inplace(out, sent[peer]);
   }
   // - Rev_i: the masks received from peers.
   for (std::size_t peer = 0; peer < num_parties_; ++peer) {
     if (peer == party_id_) continue;
     PPML_CHECK(received[peer].size() == values.size(),
-               "masked_contribution: received mask dimension mismatch");
+               "SecureSumParty::mask: received mask dimension mismatch");
     ring_sub_inplace(out, received[peer]);
   }
   obs::count("crypto.masked_contributions");
@@ -87,61 +91,44 @@ std::vector<std::uint64_t> SecureSumParty::masked_contribution(
   return out;
 }
 
-std::vector<std::uint64_t> SecureSumParty::masked_contribution_cached(
-    std::span<const double> values,
-    const std::vector<std::vector<std::uint64_t>>& sent,
-    const std::vector<std::vector<std::uint64_t>>& received) {
-  PPML_CHECK(variant_ == MaskVariant::kExchangedMasks,
-             "masked_contribution_cached: exchanged variant only");
-  PPML_CHECK(sent.size() == num_parties_ && received.size() == num_parties_,
-             "masked_contribution_cached: need one slot per party");
-  std::vector<std::uint64_t> out = codec_.encode_vector(values);
-  for (std::size_t peer = 0; peer < num_parties_; ++peer) {
-    if (peer == party_id_) continue;
-    PPML_CHECK(sent[peer].size() == values.size(),
-               "masked_contribution_cached: sent mask dimension mismatch");
-    ring_add_inplace(out, sent[peer]);
-  }
-  for (std::size_t peer = 0; peer < num_parties_; ++peer) {
-    if (peer == party_id_) continue;
-    PPML_CHECK(received[peer].size() == values.size(),
-               "masked_contribution_cached: received mask dimension mismatch");
-    ring_sub_inplace(out, received[peer]);
-  }
-  obs::count("crypto.masked_contributions");
-  if (obs::PrivacyLedger* ledger = obs::privacy_ledger()) {
-    // No round parameter here — the pad identity IS the cached streams, so
-    // the key still collides with any other application of the same pads.
-    ledger->note_pad_use(detail::exchanged_pad_key(party_id_, sent),
-                         obs::PrivacyLedger::fingerprint(values),
-                         static_cast<int>(party_id_),
-                         static_cast<int>(party_id_), 0, "exchanged_cached");
-    ledger->note_contribution(static_cast<std::int64_t>(out.size()),
-                              static_cast<std::int64_t>(out.size() * 8));
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> SecureSumParty::masked_contribution(
-    std::span<const double> values, std::size_t round) {
+std::vector<std::uint64_t> SecureSumParty::mask(
+    std::span<const double> values, std::size_t round,
+    std::span<const std::size_t> participants) const {
   PPML_CHECK(variant_ == MaskVariant::kSeededMasks,
-             "masked_contribution(round): seeded variant only");
+             "SecureSumParty::mask(round, participants): seeded variant only");
+  bool included = false;
+  for (std::size_t p : participants) {
+    PPML_CHECK(p < num_parties_,
+               "SecureSumParty::mask: participant out of range");
+    if (p == party_id_) included = true;
+  }
+  PPML_CHECK(included, "SecureSumParty::mask: this party must participate");
+  std::vector<std::size_t> peers;
+  if (topology_ == AggregationTopology::kGroupedRing) {
+    // Every party derives the identical layout from the sorted participant
+    // set, so both endpoints of each edge agree on it.
+    peers = mask_peers(build_group_layout(participants, group_size_),
+                       party_id_);
+  } else {
+    for (std::size_t p : participants)
+      if (p != party_id_) peers.push_back(p);
+  }
+
   std::vector<std::uint64_t> out = codec_.encode_vector(values);
-  std::vector<std::uint64_t> mask(values.size());
-  for (std::size_t peer = 0; peer < num_parties_; ++peer) {
-    if (peer == party_id_) continue;
+  std::vector<std::uint64_t> stream(values.size());
+  for (std::size_t peer : peers) {
     ChaCha20Stream prg(pairwise_seeds_[peer], round);
-    prg.fill(mask);
+    prg.fill(stream);
     // Antisymmetric sign convention: the lower-id party adds, the higher-id
     // party subtracts, so each pair's masks cancel in the reducer's sum.
     if (party_id_ < peer) {
-      ring_add_inplace(out, mask);
+      ring_add_inplace(out, stream);
     } else {
-      ring_sub_inplace(out, mask);
+      ring_sub_inplace(out, stream);
     }
   }
-  obs::count("crypto.masks_generated",
-             static_cast<std::int64_t>(num_parties_ - 1));
+  const auto edges = static_cast<std::int64_t>(peers.size());
+  obs::count("crypto.masks_generated", edges);
   obs::count("crypto.masked_contributions");
   if (obs::PrivacyLedger* ledger = obs::privacy_ledger()) {
     // One pad record per edge, keyed on the actual pairwise seed VALUE (not
@@ -149,92 +136,15 @@ std::vector<std::uint64_t> SecureSumParty::masked_contribution(
     // seeds — a missed rekey, a protocol seed shared across instances —
     // collide here even though each one's own bookkeeping looks clean.
     const std::uint64_t fp = obs::PrivacyLedger::fingerprint(values);
-    for (std::size_t peer = 0; peer < num_parties_; ++peer) {
-      if (peer == party_id_) continue;
+    for (std::size_t peer : peers)
       ledger->note_pad_use(
           obs::PrivacyLedger::pad_key(pairwise_seeds_[peer], round, party_id_),
           fp, static_cast<int>(party_id_), static_cast<int>(peer), round,
           "seeded");
-    }
-    ledger->note_masks(static_cast<std::int64_t>(num_parties_ - 1));
+    ledger->note_masks(edges);
     ledger->note_contribution(static_cast<std::int64_t>(out.size()),
                               static_cast<std::int64_t>(out.size() * 8));
   }
-  return out;
-}
-
-std::vector<std::uint64_t> SecureSumParty::masked_contribution_subset(
-    std::span<const double> values, std::size_t round,
-    std::span<const std::size_t> participants) {
-  PPML_CHECK(variant_ == MaskVariant::kSeededMasks,
-             "masked_contribution_subset: seeded variant only");
-  bool included = false;
-  for (std::size_t p : participants) {
-    PPML_CHECK(p < num_parties_,
-               "masked_contribution_subset: participant out of range");
-    if (p == party_id_) included = true;
-  }
-  PPML_CHECK(included,
-             "masked_contribution_subset: this party must participate");
-  std::vector<std::uint64_t> out = codec_.encode_vector(values);
-  std::vector<std::uint64_t> mask(values.size());
-  for (std::size_t peer : participants) {
-    if (peer == party_id_) continue;
-    ChaCha20Stream prg(pairwise_seeds_[peer], round);
-    prg.fill(mask);
-    if (party_id_ < peer) {
-      ring_add_inplace(out, mask);
-    } else {
-      ring_sub_inplace(out, mask);
-    }
-  }
-  obs::count("crypto.masks_generated",
-             static_cast<std::int64_t>(participants.size() - 1));
-  obs::count("crypto.masked_contributions");
-  if (obs::PrivacyLedger* ledger = obs::privacy_ledger()) {
-    const std::uint64_t fp = obs::PrivacyLedger::fingerprint(values);
-    for (std::size_t peer : participants) {
-      if (peer == party_id_) continue;
-      ledger->note_pad_use(
-          obs::PrivacyLedger::pad_key(pairwise_seeds_[peer], round, party_id_),
-          fp, static_cast<int>(party_id_), static_cast<int>(peer), round,
-          "seeded_subset");
-    }
-    ledger->note_masks(static_cast<std::int64_t>(participants.size() - 1));
-    ledger->note_contribution(static_cast<std::int64_t>(out.size()),
-                              static_cast<std::int64_t>(out.size() * 8));
-  }
-  return out;
-}
-
-SecureSumAggregator::SecureSumAggregator(std::size_t num_parties,
-                                         FixedPointCodec codec)
-    : num_parties_(num_parties), codec_(codec) {
-  PPML_CHECK(num_parties >= 2, "SecureSumAggregator: need >= 2 parties");
-}
-
-void SecureSumAggregator::add(std::span<const std::uint64_t> contribution) {
-  PPML_CHECK(contributions_ < num_parties_,
-             "SecureSumAggregator: too many contributions");
-  if (accumulator_.empty()) {
-    accumulator_.assign(contribution.begin(), contribution.end());
-  } else {
-    ring_add_inplace(accumulator_, contribution);
-  }
-  ++contributions_;
-}
-
-std::vector<double> SecureSumAggregator::sum() const {
-  PPML_CHECK(contributions_ == num_parties_,
-             "SecureSumAggregator: masks cancel only with all " +
-                 std::to_string(num_parties_) + " contributions (have " +
-                 std::to_string(contributions_) + ")");
-  return codec_.decode_vector(accumulator_);
-}
-
-std::vector<double> SecureSumAggregator::average() const {
-  std::vector<double> out = sum();
-  for (double& v : out) v /= static_cast<double>(num_parties_);
   return out;
 }
 
@@ -264,9 +174,7 @@ std::vector<std::vector<std::uint64_t>> agree_pairwise_seeds(
 
 namespace detail {
 
-std::uint64_t exchanged_pad_key(
-    std::size_t party_id,
-    const std::vector<std::vector<std::uint64_t>>& sent) {
+std::uint64_t exchanged_pad_key(std::size_t party_id, PeerStreams sent) {
   std::uint64_t key = obs::PrivacyLedger::combine(0xE5C4A97ED5B1A0C3ULL,
                                                   party_id);
   for (std::size_t peer = 0; peer < sent.size(); ++peer) {
@@ -279,7 +187,7 @@ std::uint64_t exchanged_pad_key(
 
 }  // namespace detail
 
-// secure_average lives in secure_sum_session.cpp: it is now a thin wrapper
-// over SecureSumSession::average_once.
+// secure_average lives in secure_sum_session.cpp: it is a thin wrapper over
+// SecureSumSession::average_once.
 
 }  // namespace ppml::crypto

@@ -11,26 +11,38 @@
 //
 // Values are vectors of reals carried through FixedPointCodec into Z_2^64.
 //
-// Two mask-derivation variants:
+// Two mask-derivation variants, one masking routine each:
 //   kExchangedMasks — the literal protocol: fresh masks each round, O(dim)
 //                     pairwise traffic per round.
 //   kSeededMasks    — pairwise seeds agreed once (e.g. via Diffie–Hellman),
 //                     masks expanded per round with ChaCha20; O(1) pairwise
-//                     traffic after setup. Same cancellation algebra.
+//                     traffic after setup. Same cancellation algebra, over
+//                     any edge set: all pairs of the cohort, the pairs of a
+//                     round's participants, or the grouped ring.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/dh.h"
 #include "crypto/fixed_point.h"
+#include "crypto/grouped_ring.h"
 #include "crypto/prng.h"
 
 namespace ppml::crypto {
 
 enum class MaskVariant { kExchangedMasks, kSeededMasks };
 
-/// Mapper-side state for one party across protocol rounds.
+/// Mask streams indexed by party id; the owning party's own entry is
+/// ignored. A view: exchanged-variant callers pass their round cache
+/// without copying it.
+using PeerStreams = std::span<const std::span<const std::uint64_t>>;
+
+/// Mapper-side state for one party across protocol rounds. Both variants
+/// mask with the same algebra: every edge {i, j} contributes one stream,
+/// added by one endpoint and subtracted by the other, so the streams cancel
+/// in the reducer's ring sum over any edge set.
 class SecureSumParty {
  public:
   /// kExchangedMasks party. `seed` drives this party's mask generation.
@@ -39,9 +51,13 @@ class SecureSumParty {
 
   /// kSeededMasks party. `pairwise_seeds[j]` must equal the seed party j
   /// holds for this pair (e.g. a DH shared secret); entry for self ignored.
+  /// `topology` and `group_size` (0 = auto) pick the edge set it masks over
+  /// (crypto/grouped_ring.h).
   SecureSumParty(std::size_t party_id, std::size_t num_parties,
                  FixedPointCodec codec,
-                 std::vector<std::uint64_t> pairwise_seeds);
+                 std::vector<std::uint64_t> pairwise_seeds,
+                 AggregationTopology topology = AggregationTopology::kPairwise,
+                 std::size_t group_size = 0);
 
   std::size_t party_id() const noexcept { return party_id_; }
   std::size_t num_parties() const noexcept { return num_parties_; }
@@ -53,34 +69,22 @@ class SecureSumParty {
   std::vector<std::vector<std::uint64_t>> outgoing_masks(std::size_t round,
                                                          std::size_t dim);
 
-  /// kExchangedMasks step 3-4: masked contribution given this party's value
-  /// vector and the masks received from all peers this round.
-  std::vector<std::uint64_t> masked_contribution(
-      std::span<const double> values,
-      const std::vector<std::vector<std::uint64_t>>& received, std::size_t round);
+  /// kSeededMasks step 3-4: encode `values` and mask them for `round`
+  /// against this party's edges within `participants` (which must contain
+  /// this party): every other participant under kPairwise, its mask_peers
+  /// in the participants' group layout under kGroupedRing. The masks cancel
+  /// when exactly `participants` contribute; no exchange needed.
+  std::vector<std::uint64_t> mask(std::span<const double> values,
+                                  std::size_t round,
+                                  std::span<const std::size_t> participants)
+      const;
 
-  /// kExchangedMasks step 3-4 when this round's outgoing masks were already
-  /// derived (by the outgoing_masks call that served the exchange): same
-  /// algebra and result as masked_contribution(values, received, round),
-  /// without re-expanding the sent streams. `sent` must be this party's
-  /// outgoing_masks for the round.
-  std::vector<std::uint64_t> masked_contribution_cached(
-      std::span<const double> values,
-      const std::vector<std::vector<std::uint64_t>>& sent,
-      const std::vector<std::vector<std::uint64_t>>& received);
-
-  /// kSeededMasks step 3-4: masked contribution; masks derive from the
-  /// pairwise seeds and `round`, no exchange needed.
-  std::vector<std::uint64_t> masked_contribution(std::span<const double> values,
-                                                 std::size_t round);
-
-  /// kSeededMasks with PARTIAL participation: masks are generated only
-  /// against the peers in `participants` (which must contain this party).
-  /// The masks cancel when exactly that set contributes — the building
-  /// block for sampled/partial consensus rounds.
-  std::vector<std::uint64_t> masked_contribution_subset(
-      std::span<const double> values, std::size_t round,
-      std::span<const std::size_t> participants);
+  /// kExchangedMasks step 3-4: enc(values) + Sed_i - Rev_i, where `sent`
+  /// is this party's outgoing_masks for `round` and `received[j]` the mask
+  /// peer j sent it.
+  std::vector<std::uint64_t> mask(std::span<const double> values,
+                                  PeerStreams sent, PeerStreams received,
+                                  std::size_t round) const;
 
   const FixedPointCodec& codec() const noexcept { return codec_; }
 
@@ -91,31 +95,8 @@ class SecureSumParty {
   MaskVariant variant_;
   std::uint64_t seed_ = 0;                     // exchanged variant
   std::vector<std::uint64_t> pairwise_seeds_;  // seeded variant
-};
-
-/// Reducer-side accumulator: sums masked contributions in the ring, then
-/// decodes. The reducer never sees an unmasked contribution.
-class SecureSumAggregator {
- public:
-  SecureSumAggregator(std::size_t num_parties, FixedPointCodec codec);
-
-  /// Add one mapper's masked contribution (all must share one dimension).
-  void add(std::span<const std::uint64_t> contribution);
-
-  std::size_t contributions() const noexcept { return contributions_; }
-
-  /// Decoded sum; requires exactly num_parties contributions (otherwise the
-  /// masks have not cancelled and the result would be garbage — throws).
-  std::vector<double> sum() const;
-
-  /// sum() / num_parties — the consensus average the Reducer feeds back.
-  std::vector<double> average() const;
-
- private:
-  std::size_t num_parties_;
-  FixedPointCodec codec_;
-  std::vector<std::uint64_t> accumulator_;
-  std::size_t contributions_ = 0;
+  AggregationTopology topology_ = AggregationTopology::kPairwise;
+  std::size_t group_size_ = 0;
 };
 
 /// Agree pairwise seeds for M parties via Diffie–Hellman on the standard
@@ -127,13 +108,10 @@ std::vector<std::vector<std::uint64_t>> agree_pairwise_seeds(
 
 namespace detail {
 /// Privacy-ledger pad key for an exchanged-variant wire vector: fingerprints
-/// the party's own sent mask streams (`sent` indexed by peer, self empty) —
-/// the pad material itself — so the legacy, cached and session-batched
-/// exchanged paths all collide on the same key when they reuse a round's
-/// streams for a second plaintext.
-std::uint64_t exchanged_pad_key(
-    std::size_t party_id,
-    const std::vector<std::vector<std::uint64_t>>& sent);
+/// the party's own sent mask streams (`sent` indexed by peer, self ignored)
+/// — the pad material itself — so any two applications of one round's
+/// streams to different plaintexts collide on the same key.
+std::uint64_t exchanged_pad_key(std::size_t party_id, PeerStreams sent);
 }  // namespace detail
 
 /// Run the whole protocol in memory (used by the in-memory trainers and

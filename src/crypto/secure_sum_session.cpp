@@ -6,6 +6,17 @@
 
 namespace ppml::crypto {
 
+namespace {
+
+/// The exchanged variant regenerates masks every round and never re-keys,
+/// so epochs do not mix into the per-party seeds.
+std::uint64_t exchanged_party_seed(const SecureSumConfig& config,
+                                   std::size_t party) {
+  return config.protocol_seed ^ (party * 0x9e3779b97f4a7c15ULL);
+}
+
+}  // namespace
+
 FixedPointCodec SecureSumSession::codec_for(const SecureSumConfig& config) {
   const std::size_t terms =
       config.codec_terms != 0 ? config.codec_terms : config.num_parties;
@@ -27,11 +38,8 @@ SecureSumSession::SecureSumSession(const SecureSumConfig& config,
              "seeded-mask variant (its sparse edge set rides on the "
              "pairwise-seed matrix)");
   const std::size_t m = config_.num_parties;
-  parties_.reserve(m);
   if (config_.variant == MaskVariant::kSeededMasks) {
     seeds_ = agree_pairwise_seeds(m, epoch_key(config_.protocol_seed, epoch));
-    for (std::size_t i = 0; i < m; ++i)
-      parties_.emplace_back(i, m, codec_, seeds_[i]);
     // DH setup leakage: each party broadcasts one public value per key
     // agreement epoch (a deliberate protocol disclosure — shared secrets
     // derive from it, the seeds themselves never travel).
@@ -40,13 +48,20 @@ SecureSumSession::SecureSumSession(const SecureSumConfig& config,
         ledger->note_cleartext_for(static_cast<int>(i),
                                    obs::ClearKind::kDhPublic, 1, 8);
     }
-  } else {
-    // The exchanged variant regenerates masks every round and never re-keys,
-    // so epochs do not mix into the per-party seeds.
-    for (std::size_t i = 0; i < m; ++i)
-      parties_.emplace_back(i, m, codec_,
-                            config_.protocol_seed ^
-                                (i * config_.exchanged_seed_mult));
+  }
+  build_parties();
+}
+
+void SecureSumSession::build_parties() {
+  const std::size_t m = config_.num_parties;
+  parties_.clear();
+  parties_.reserve(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (config_.variant == MaskVariant::kSeededMasks)
+      parties_.emplace_back(i, m, codec_, seeds_[i], config_.topology,
+                            config_.group_size);
+    else
+      parties_.emplace_back(i, m, codec_, exchanged_party_seed(config_, i));
   }
 }
 
@@ -78,11 +93,10 @@ SecureSumParty SecureSumSession::make_party(const SecureSumConfig& config,
     const auto seeds = agree_pairwise_seeds(
         config.num_parties, epoch_key(config.protocol_seed, epoch));
     return SecureSumParty(party_id, config.num_parties, codec,
-                          seeds[party_id]);
+                          seeds[party_id], config.topology, config.group_size);
   }
   return SecureSumParty(party_id, config.num_parties, codec,
-                        config.protocol_seed ^
-                            (party_id * config.exchanged_seed_mult));
+                        exchanged_party_seed(config, party_id));
 }
 
 void SecureSumSession::arm_recovery(std::size_t threshold,
@@ -110,6 +124,7 @@ void SecureSumSession::set_topology(AggregationTopology topology,
              "requires the seeded-mask variant");
   config_.topology = topology;
   config_.group_size = group_size;
+  build_parties();
 }
 
 std::size_t SecureSumSession::recovery_threshold() const {
@@ -138,9 +153,6 @@ std::span<const double> SecureSumSession::batch(
 std::vector<std::uint64_t> SecureSumSession::contribute(
     std::size_t party, std::span<const Tensor> tensors, std::size_t round,
     std::span<const std::size_t> mask_set) {
-  PPML_CHECK(config_.variant == MaskVariant::kSeededMasks,
-             "SecureSumSession::contribute: seeded variant only (use "
-             "exchange_round/contribute_exchanged for exchanged masks)");
   PPML_CHECK(party < config_.num_parties,
              "SecureSumSession::contribute: bad party id");
   // Mask expansion bills to the contributing party even when the caller
@@ -148,66 +160,32 @@ std::vector<std::uint64_t> SecureSumSession::contribute(
   obs::PartyScope scope(party);
   epoch_active_ = true;
   const std::span<const double> values = batch(tensors);
-  if (config_.topology == AggregationTopology::kGroupedRing) {
-    // Mask only against this party's grouped-ring neighbors within the
-    // round's participant set — the subset algebra guarantees every edge's
-    // streams cancel once both endpoints contribute.
-    return parties_[party].masked_contribution_subset(
-        values, round, grouped_mask_set(mask_set, config_.group_size, party));
-  }
-  if (mask_set.size() == config_.num_parties)
-    return parties_[party].masked_contribution(values, round);
-  return parties_[party].masked_contribution_subset(values, round, mask_set);
+  if (config_.variant == MaskVariant::kSeededMasks)
+    return parties_[party].mask(values, round, mask_set);
+
+  PPML_CHECK(mask_set.size() == config_.num_parties,
+             "SecureSumSession::contribute: the exchanged variant masks over "
+             "the full cohort");
+  if (exchange_round_ != round || exchange_dim_ != values.size())
+    exchange_round(round, values.size());
+  // Party `party` adds its own row of the round's streams and subtracts its
+  // column — views into the cache, so no stream is copied.
+  std::vector<std::span<const std::uint64_t>> sent(sent_[party].begin(),
+                                                   sent_[party].end());
+  std::vector<std::span<const std::uint64_t>> received(config_.num_parties);
+  for (std::size_t peer = 0; peer < config_.num_parties; ++peer)
+    received[peer] = sent_[peer][party];
+  return parties_[party].mask(values, sent, received, round);
 }
 
 void SecureSumSession::exchange_round(std::size_t round, std::size_t dim) {
-  PPML_CHECK(config_.variant == MaskVariant::kExchangedMasks,
-             "SecureSumSession::exchange_round: exchanged variant only");
-  epoch_active_ = true;
   sent_.resize(config_.num_parties);
   for (std::size_t i = 0; i < config_.num_parties; ++i) {
     obs::PartyScope scope(i);  // each party expands its own mask streams
     sent_[i] = parties_[i].outgoing_masks(round, dim);
   }
   exchange_round_ = round;
-}
-
-std::vector<std::uint64_t> SecureSumSession::contribute_exchanged(
-    std::size_t party, std::span<const Tensor> tensors, std::size_t round) {
-  PPML_CHECK(config_.variant == MaskVariant::kExchangedMasks,
-             "SecureSumSession::contribute_exchanged: exchanged variant only");
-  PPML_CHECK(party < config_.num_parties,
-             "SecureSumSession::contribute_exchanged: bad party id");
-  PPML_CHECK(exchange_round_ == round,
-             "SecureSumSession::contribute_exchanged: call exchange_round "
-             "for this round first");
-  obs::PartyScope scope(party);
-  const std::span<const double> values = batch(tensors);
-  std::vector<std::uint64_t> out = codec_.encode_vector(values);
-  // Same ring algebra as SecureSumParty::masked_contribution — + Sed_i then
-  // - Rev_i in ascending peer order — but over the masks cached by
-  // exchange_round, so each stream is expanded exactly once per round.
-  for (std::size_t peer = 0; peer < config_.num_parties; ++peer) {
-    if (peer == party) continue;
-    PPML_CHECK(sent_[party][peer].size() == values.size(),
-               "SecureSumSession::contribute_exchanged: exchanged mask "
-               "dimension mismatch");
-    ring_add_inplace(out, sent_[party][peer]);
-  }
-  for (std::size_t peer = 0; peer < config_.num_parties; ++peer) {
-    if (peer == party) continue;
-    ring_sub_inplace(out, sent_[peer][party]);
-  }
-  obs::count("crypto.masked_contributions");
-  if (obs::PrivacyLedger* ledger = obs::privacy_ledger()) {
-    ledger->note_pad_use(detail::exchanged_pad_key(party, sent_[party]),
-                         obs::PrivacyLedger::fingerprint(values),
-                         static_cast<int>(party), static_cast<int>(party),
-                         round, "exchanged_session");
-    ledger->note_contribution(static_cast<std::int64_t>(out.size()),
-                              static_cast<std::int64_t>(out.size() * 8));
-  }
-  return out;
+  exchange_dim_ = dim;
 }
 
 std::vector<double> SecureSumSession::reduce_average(
@@ -335,16 +313,9 @@ std::vector<double> SecureSumSession::average_once_impl(
   for (std::size_t i = 0; i < m; ++i) everyone[i] = i;
 
   std::vector<std::vector<std::uint64_t>> contributions(m);
-  if (config_.variant == MaskVariant::kSeededMasks) {
-    for (std::size_t i = 0; i < m; ++i)
-      contributions[i] =
-          contribute(i, {&per_party_values[i], 1}, round, everyone);
-  } else {
-    exchange_round(round, dim);
-    for (std::size_t i = 0; i < m; ++i)
-      contributions[i] =
-          contribute_exchanged(i, {&per_party_values[i], 1}, round);
-  }
+  for (std::size_t i = 0; i < m; ++i)
+    contributions[i] =
+        contribute(i, {&per_party_values[i], 1}, round, everyone);
   return reduce_average(round, everyone, everyone, contributions, audit);
 }
 
@@ -362,7 +333,6 @@ std::vector<double> secure_average(
   config.num_parties = m;
   config.variant = variant;
   config.protocol_seed = session_seed;
-  config.exchanged_seed_mult = 0x2545f4914f6cdd1dULL;
   SecureSumSession session(config, codec);
   const std::vector<SecureSumSession::Tensor> tensors(party_values.begin(),
                                                       party_values.end());

@@ -15,9 +15,9 @@
 //     visible in `--metrics` as crypto.sum.batched_tensors vs
 //     crypto.sum.contributions (and crypto.sum.batched_elems for volume).
 //   * ONE mask derivation per round in the exchanged-mask variant: the
-//     legacy drivers derived each party's outgoing masks twice per round
-//     (once to exchange them, once again inside the masking call);
-//     exchange_round() caches the streams so crypto.masks_generated halves.
+//     first contribution of a round derives every party's outgoing streams
+//     and caches them, so each stream is expanded once, not once for the
+//     exchange and again inside the masking call.
 //   * Reducer-side aggregation with integrated Shamir dropout recovery
 //     (crypto/dropout_recovery.h): reduce_average() returns the exact
 //     average over the parties that actually delivered, reconstructing the
@@ -51,10 +51,6 @@ struct SecureSumConfig {
   std::size_t codec_terms = 0;
   MaskVariant variant = MaskVariant::kSeededMasks;
   std::uint64_t protocol_seed = 0;
-  /// Per-party seed multiplier for the exchanged variant (kept
-  /// configurable because crypto::secure_average historically used a
-  /// different constant than the consensus drivers).
-  std::uint64_t exchanged_seed_mult = 0x9e3779b97f4a7c15ULL;
   /// Which edge set the seeded variant masks over (crypto/grouped_ring.h).
   /// kGroupedRing cuts per-round mask expansion from M(M-1) streams to
   /// 2|E| over intra-group cliques plus the leader ring; the decoded sums
@@ -153,26 +149,17 @@ class SecureSumSession {
   // --- mapper side --------------------------------------------------------
 
   /// Batched masked contribution of `party` for `round`: concatenates
-  /// `tensors`, encodes once, masks once against the sorted `mask_set`
-  /// (which must contain `party`; pass the full cohort for full rounds).
-  /// Under kGroupedRing the mask_set names the round's PARTICIPANTS and
-  /// the party masks only against its grouped-ring neighbors within it.
-  /// Seeded variant only.
+  /// `tensors`, encodes once, masks once (SecureSumParty::mask). Seeded:
+  /// `mask_set` names the round's sorted participants (which must contain
+  /// `party`; pass the full cohort for full rounds), and the party masks
+  /// against its edges within it under the session's topology. Exchanged:
+  /// `mask_set` must be the full cohort; the first contribution of a round
+  /// derives every party's streams for that round once, and later ones
+  /// reuse them.
   std::vector<std::uint64_t> contribute(std::size_t party,
                                         std::span<const Tensor> tensors,
                                         std::size_t round,
                                         std::span<const std::size_t> mask_set);
-
-  /// Exchanged variant: derive (and cache) every party's outgoing masks for
-  /// `round` once. Must be called before contribute_exchanged each round.
-  void exchange_round(std::size_t round, std::size_t dim);
-
-  /// Exchanged-variant batched contribution, using the masks cached by
-  /// exchange_round (own streams added, peers' streams subtracted — the
-  /// same algebra as SecureSumParty::masked_contribution, without
-  /// re-deriving the outgoing streams).
-  std::vector<std::uint64_t> contribute_exchanged(
-      std::size_t party, std::span<const Tensor> tensors, std::size_t round);
 
   // --- reducer side -------------------------------------------------------
 
@@ -206,6 +193,11 @@ class SecureSumSession {
 
  private:
   std::span<const double> batch(std::span<const Tensor> tensors);
+  /// One SecureSumParty per party id, on the config's topology.
+  void build_parties();
+  /// Exchanged variant: derive (and cache) every party's outgoing masks for
+  /// `round` at width `dim`.
+  void exchange_round(std::size_t round, std::size_t dim);
   std::vector<double> average_once_impl(std::span<const Tensor> per_party_values,
                                         std::size_t round, ReduceAudit* audit);
 
@@ -221,6 +213,7 @@ class SecureSumSession {
 
   // Exchanged-variant per-round mask cache: sent_[i][peer].
   std::size_t exchange_round_ = static_cast<std::size_t>(-1);
+  std::size_t exchange_dim_ = 0;
   std::vector<std::vector<std::vector<std::uint64_t>>> sent_;
 
   std::vector<double> batch_scratch_;  ///< tensor concatenation buffer

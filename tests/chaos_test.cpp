@@ -238,13 +238,14 @@ TEST(Chaos, SurvivorSumCorrectionIsBitExact) {
   mapreduce::Cluster cluster(config);
   mapreduce::JobConfig job_config;
   job_config.tolerate_mapper_loss = true;
-  const ClusterTrainResult result =
-      run_consensus_on_cluster(cluster, shards, factory, coordinator, k + 1,
-                               /*reducer_node=*/m, params, job_config);
+  ConsensusEngine engine(m, coordinator, params);
+  FabricTransport transport(cluster, shards, factory, /*reducer_node=*/m,
+                            job_config);
+  engine.run(transport);
 
-  EXPECT_EQ(result.job.rounds, 8u);
-  ASSERT_EQ(result.dropout_events.size(), 1u);
-  const DropoutEvent& event = result.dropout_events.front();
+  EXPECT_EQ(transport.job_stats().rounds, 8u);
+  ASSERT_EQ(transport.dropout_events().size(), 1u);
+  const DropoutEvent& event = transport.dropout_events().front();
   ASSERT_TRUE(event.corrected);
   EXPECT_EQ(event.round, drop_round);
   EXPECT_EQ(event.mapper, 1u);
@@ -409,14 +410,16 @@ TEST(Chaos, InMemoryDropoutDriverMatchesPlainDriverWithoutDrops) {
   const auto partition = data::partition_horizontally(split.train, 4, 7);
   const std::size_t k = split.train.features();
 
+  InMemoryTransport transport;
   AveragingCoordinator reference(k + 1);
   auto plain = make_learners(partition, params);
-  run_consensus_in_memory(plain, reference, params);
+  ConsensusEngine(plain, reference, params).run(transport);
 
   AveragingCoordinator dropout_coordinator(k + 1);
   auto tolerant = make_learners(partition, params);
-  run_consensus_with_dropout(tolerant, dropout_coordinator, params,
-                             DropoutSchedule{});
+  ScheduledDropout policy(DropoutSchedule{});
+  ConsensusEngine(tolerant, dropout_coordinator, params, policy)
+      .run(transport);
 
   const Vector a = reference.z();
   const Vector b = dropout_coordinator.z();
@@ -432,9 +435,10 @@ TEST(Chaos, InMemoryDropoutDriverDegradesGracefully) {
   const auto partition = data::partition_horizontally(split.train, 4, 7);
   const std::size_t k = split.train.features();
 
+  InMemoryTransport transport;
   AveragingCoordinator clean(k + 1);
   auto plain = make_learners(partition, params);
-  run_consensus_in_memory(plain, clean, params);
+  ConsensusEngine(plain, clean, params).run(transport);
   const double clean_acc =
       test_accuracy(svm::LinearModel{clean.z(), clean.s()}, split);
 
@@ -442,8 +446,9 @@ TEST(Chaos, InMemoryDropoutDriverDegradesGracefully) {
   schedule.drops[4] = {3};  // party 3 dies at round 4, post-mask
   AveragingCoordinator degraded(k + 1);
   auto tolerant = make_learners(partition, params);
-  const ConsensusRunResult result = run_consensus_with_dropout(
-      tolerant, degraded, params, schedule);
+  ScheduledDropout policy(schedule);
+  const ConsensusRunResult result =
+      ConsensusEngine(tolerant, degraded, params, policy).run(transport);
   EXPECT_EQ(result.iterations, 30u);
   const double degraded_acc =
       test_accuracy(svm::LinearModel{degraded.z(), degraded.s()}, split);
@@ -462,7 +467,8 @@ TEST(Chaos, AsyncQuorumConvergesWhereTheSyncBarrierBlowsTheClock) {
   // Clean synchronous baseline, no storm.
   AveragingCoordinator clean(k + 1);
   auto plain = make_learners(partition, params);
-  run_consensus_in_memory(plain, clean, params);
+  InMemoryTransport clean_transport;
+  ConsensusEngine(plain, clean, params).run(clean_transport);
   const double clean_acc =
       test_accuracy(svm::LinearModel{clean.z(), clean.s()}, split);
 

@@ -73,10 +73,13 @@ ClusterRun run_linear_horizontal_on_cluster(
         deserialize_horizontal_shard(payload), 4, captured);
   };
 
+  ConsensusEngine engine(4, coordinator, params);
+  FabricTransport transport(cluster, shards, factory, /*reducer_node=*/4,
+                            job_config);
   ClusterRun run;
-  run.result = run_consensus_on_cluster(cluster, shards, factory, coordinator,
-                                        k + 1, /*reducer_node=*/4, params,
-                                        job_config);
+  run.result.run = engine.run(transport);
+  run.result.job = transport.job_stats();
+  run.result.delta_trace = transport.delta_trace();
   run.model = svm::LinearModel{coordinator.z(), coordinator.s()};
   run.channels = cluster.network().channel_stats();
   return run;
@@ -255,7 +258,8 @@ TEST(ClusterIntegration, MaskedContributionsLookUniform) {
   LinearHorizontalLearner learner(partition.shards[0], 4, params);
   crypto::SecureSumParty party(0, 4, codec, seeds[0]);
   const Vector contribution = learner.local_step({});
-  const auto masked = party.masked_contribution(contribution, 0);
+  const std::vector<std::size_t> everyone{0, 1, 2, 3};
+  const auto masked = party.mask(contribution, 0, everyone);
   const auto plain = codec.encode_vector(contribution);
 
   std::size_t high_bits_differ = 0;
@@ -311,10 +315,10 @@ TEST(ClusterIntegration, VerticalSchemeRunsOnCluster) {
   };
 
   mapreduce::Cluster cluster(cluster_config(5));
-  const auto result = run_consensus_on_cluster(
-      cluster, shards, factory, coordinator, partition.rows(),
-      /*reducer_node=*/4, params);
-  EXPECT_EQ(result.job.rounds, 40u);
+  ConsensusEngine engine(4, coordinator, params);
+  FabricTransport transport(cluster, shards, factory, /*reducer_node=*/4);
+  engine.run(transport);
+  EXPECT_EQ(transport.job_stats().rounds, 40u);
 
   VerticalLinearModelView view;
   view.feature_indices = partition.feature_indices;

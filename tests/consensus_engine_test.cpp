@@ -1,371 +1,28 @@
 // Bit-identity suite for core::ConsensusEngine.
 //
-// The engine replaced three hand-rolled drivers (run_consensus_in_memory,
-// run_consensus_partial_participation, run_consensus_with_dropout) and the
-// MapReduce adapter's loop. The refactor's contract is EXACT reproduction:
-// for every policy, mask variant and seed, the engine must emit the same
-// per-round consensus deltas and the same final model, bit for bit.
-//
-// To pin that, `seedref` below carries VERBATIM copies of the replaced
-// drivers (taken from the pre-refactor tree); every test runs both
-// implementations on independently constructed learner stacks and compares
-// with EXPECT_EQ — no tolerance anywhere.
+// The engine replaced three hand-rolled in-memory drivers (full, partial
+// and dropout rounds) and the MapReduce adapter's loop. The contract is
+// EXACT reproduction: for every policy, mask variant and seed, the engine
+// must emit the same per-round consensus deltas and the same final model,
+// bit for bit. Golden digests recorded from those drivers pin the in-memory
+// runs; the fabric, asynchronous and grouped-ring runs are compared with
+// EXPECT_EQ against the in-memory engine — no tolerance anywhere.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <sstream>
-#include <thread>
 
-#include "core/consensus.h"
 #include "core/consensus_engine.h"
 #include "core/linear_horizontal.h"
 #include "core/mapreduce_adapter.h"
-#include "crypto/dropout_recovery.h"
-#include "crypto/secure_sum.h"
 #include "data/generators.h"
 #include "data/standardize.h"
 #include "obs/obs.h"
 
 namespace ppml::core {
-
-// ===========================================================================
-// seedref: verbatim copies of the drivers the engine replaced.
-// ===========================================================================
-namespace seedref {
-
-void record_admm_round(
-    const ConsensusCoordinator& coordinator, const Vector& average,
-    const Vector& z_prev, double rho,
-    const std::vector<std::shared_ptr<ConsensusLearner>>& learners,
-    const std::vector<std::size_t>* active) {
-  obs::MetricsRegistry* metrics = obs::metrics();
-  if (!metrics) return;
-  const double delta_sq = coordinator.last_delta_sq();
-  metrics->append("admm.z_delta_sq", delta_sq);
-  metrics->append("admm.dual_residual_sq", rho * rho * delta_sq);
-  double primal = 0.0;
-  for (std::size_t j = 0; j < average.size(); ++j) {
-    const double z = j < z_prev.size() ? z_prev[j] : 0.0;
-    const double d = average[j] - z;
-    primal += d * d;
-  }
-  metrics->append("admm.primal_residual_sq", primal);
-  double objective = 0.0;
-  bool any = false;
-  const auto add_objective = [&](const ConsensusLearner& learner) {
-    const double value = learner.last_local_objective();
-    if (std::isnan(value)) return;
-    objective += value;
-    any = true;
-  };
-  if (active) {
-    for (std::size_t i : *active) add_objective(*learners[i]);
-  } else {
-    for (const auto& learner : learners) add_objective(*learner);
-  }
-  if (any) metrics->append("admm.objective", objective);
-}
-
-ConsensusRunResult run_consensus_in_memory(
-    std::vector<std::shared_ptr<ConsensusLearner>>& learners,
-    ConsensusCoordinator& coordinator, const AdmmParams& params,
-    const RoundObserver& observer) {
-  PPML_CHECK(learners.size() >= 2,
-             "run_consensus_in_memory: need >= 2 learners");
-  const std::size_t m = learners.size();
-  const std::size_t dim = learners.front()->contribution_dim();
-  for (const auto& learner : learners)
-    PPML_CHECK(learner->contribution_dim() == dim,
-               "run_consensus_in_memory: contribution dims differ");
-
-  const crypto::FixedPointCodec codec(params.fixed_point_bits, m);
-
-  std::vector<crypto::SecureSumParty> parties;
-  parties.reserve(m);
-  if (params.mask_variant == crypto::MaskVariant::kSeededMasks) {
-    const auto seeds = crypto::agree_pairwise_seeds(m, params.protocol_seed);
-    for (std::size_t i = 0; i < m; ++i)
-      parties.emplace_back(i, m, codec, seeds[i]);
-  } else {
-    for (std::size_t i = 0; i < m; ++i)
-      parties.emplace_back(i, m, codec,
-                           params.protocol_seed ^ (i * 0x9e3779b97f4a7c15ULL));
-  }
-
-  const bool parallelize = params.parallel_learners && m > 1 &&
-                           std::thread::hardware_concurrency() > 1;
-  const auto run_local_steps = [&](const Vector& broadcast_in) {
-    std::vector<Vector> contributions(m);
-    if (parallelize) {
-      std::vector<std::future<Vector>> futures;
-      futures.reserve(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        futures.push_back(std::async(std::launch::async, [&, i] {
-          return learners[i]->local_step(broadcast_in);
-        }));
-      }
-      for (std::size_t i = 0; i < m; ++i) contributions[i] = futures[i].get();
-    } else {
-      for (std::size_t i = 0; i < m; ++i)
-        contributions[i] = learners[i]->local_step(broadcast_in);
-    }
-    return contributions;
-  };
-
-  ConsensusRunResult result;
-  Vector broadcast;
-  obs::Span job_span("job", "core");
-  for (std::size_t round = 0; round < params.max_iterations; ++round) {
-    obs::Span iteration_span("iteration", "core");
-    iteration_span.arg("round", static_cast<double>(round));
-    crypto::SecureSumAggregator aggregator(m, codec);
-    std::vector<Vector> contributions;
-    {
-      obs::Span map_span("map", "core");
-      contributions = run_local_steps(broadcast);
-    }
-    Vector average;
-    {
-      obs::Span sum_span("secure_sum", "core");
-      if (params.mask_variant == crypto::MaskVariant::kSeededMasks) {
-        for (std::size_t i = 0; i < m; ++i) {
-          aggregator.add(
-              parties[i].masked_contribution(contributions[i], round));
-        }
-      } else {
-        std::vector<std::vector<std::vector<std::uint64_t>>> sent(m);
-        for (std::size_t i = 0; i < m; ++i)
-          sent[i] = parties[i].outgoing_masks(round, dim);
-        for (std::size_t i = 0; i < m; ++i) {
-          std::vector<std::vector<std::uint64_t>> received(m);
-          for (std::size_t j = 0; j < m; ++j)
-            if (j != i) received[j] = sent[j][i];
-          aggregator.add(
-              parties[i].masked_contribution(contributions[i], received, round));
-        }
-      }
-      average = aggregator.average();
-    }
-
-    Vector z_prev;
-    if (obs::enabled()) z_prev = broadcast;
-    {
-      obs::Span update_span("admm_update", "core");
-      broadcast = coordinator.combine(average);
-    }
-    record_admm_round(coordinator, average, z_prev, params.rho, learners,
-                      nullptr);
-    ++result.iterations;
-    if (observer) observer(round);
-    if (params.convergence_tolerance > 0.0 &&
-        coordinator.last_delta_sq() <= params.convergence_tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  return result;
-}
-
-ConsensusRunResult run_consensus_partial_participation(
-    std::vector<std::shared_ptr<ConsensusLearner>>& learners,
-    ConsensusCoordinator& coordinator, const AdmmParams& params,
-    std::size_t participants_per_round, std::uint64_t sampling_seed,
-    const RoundObserver& observer) {
-  const std::size_t m = learners.size();
-  PPML_CHECK(m >= 2, "partial participation: need >= 2 learners");
-  PPML_CHECK(participants_per_round >= 2 && participants_per_round <= m,
-             "partial participation: participants must be in [2, M]");
-  PPML_CHECK(params.mask_variant == crypto::MaskVariant::kSeededMasks,
-             "partial participation: requires the seeded-mask variant");
-  const std::size_t dim = learners.front()->contribution_dim();
-  for (const auto& learner : learners)
-    PPML_CHECK(learner->contribution_dim() == dim,
-               "partial participation: contribution dims differ");
-
-  const crypto::FixedPointCodec codec(params.fixed_point_bits,
-                                      participants_per_round);
-  const auto seeds = crypto::agree_pairwise_seeds(m, params.protocol_seed);
-  std::vector<crypto::SecureSumParty> parties;
-  parties.reserve(m);
-  for (std::size_t i = 0; i < m; ++i)
-    parties.emplace_back(i, m, codec, seeds[i]);
-
-  crypto::Xoshiro256 sampler(sampling_seed);
-  std::vector<std::size_t> ids(m);
-  for (std::size_t i = 0; i < m; ++i) ids[i] = i;
-
-  ConsensusRunResult result;
-  Vector broadcast;
-  obs::Span job_span("job", "core");
-  for (std::size_t round = 0; round < params.max_iterations; ++round) {
-    obs::Span iteration_span("iteration", "core");
-    iteration_span.arg("round", static_cast<double>(round));
-    for (std::size_t i = 0; i < participants_per_round; ++i) {
-      const std::size_t j = i + sampler.next() % (m - i);
-      std::swap(ids[i], ids[j]);
-    }
-    std::vector<std::size_t> participants(
-        ids.begin(),
-        ids.begin() + static_cast<std::ptrdiff_t>(participants_per_round));
-    std::sort(participants.begin(), participants.end());
-
-    crypto::SecureSumAggregator aggregator(participants_per_round, codec);
-    std::vector<Vector> contributions(participants.size());
-    {
-      obs::Span map_span("map", "core");
-      for (std::size_t k = 0; k < participants.size(); ++k)
-        contributions[k] = learners[participants[k]]->local_step(broadcast);
-    }
-    Vector average;
-    {
-      obs::Span sum_span("secure_sum", "core");
-      for (std::size_t k = 0; k < participants.size(); ++k) {
-        aggregator.add(parties[participants[k]].masked_contribution_subset(
-            contributions[k], round, participants));
-      }
-      average = aggregator.average();
-    }
-    Vector z_prev;
-    if (obs::enabled()) z_prev = broadcast;
-    {
-      obs::Span update_span("admm_update", "core");
-      broadcast = coordinator.combine(average);
-    }
-    record_admm_round(coordinator, average, z_prev, params.rho, learners,
-                      &participants);
-    ++result.iterations;
-    if (observer) observer(round);
-    if (params.convergence_tolerance > 0.0 &&
-        coordinator.last_delta_sq() <= params.convergence_tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  return result;
-}
-
-ConsensusRunResult run_consensus_with_dropout(
-    std::vector<std::shared_ptr<ConsensusLearner>>& learners,
-    ConsensusCoordinator& coordinator, const AdmmParams& params,
-    const DropoutSchedule& schedule, const RoundObserver& observer) {
-  const std::size_t m = learners.size();
-  PPML_CHECK(m >= 3, "dropout consensus: need >= 3 learners (Shamir)");
-  PPML_CHECK(params.mask_variant == crypto::MaskVariant::kSeededMasks,
-             "dropout consensus: requires the seeded-mask variant");
-  const std::size_t dim = learners.front()->contribution_dim();
-  for (const auto& learner : learners)
-    PPML_CHECK(learner->contribution_dim() == dim,
-               "dropout consensus: contribution dims differ");
-
-  const crypto::FixedPointCodec codec(params.fixed_point_bits, m);
-  const auto seeds = crypto::agree_pairwise_seeds(m, params.protocol_seed);
-  std::vector<crypto::SecureSumParty> parties;
-  parties.reserve(m);
-  for (std::size_t i = 0; i < m; ++i)
-    parties.emplace_back(i, m, codec, seeds[i]);
-
-  const std::size_t threshold =
-      schedule.threshold != 0
-          ? schedule.threshold
-          : std::clamp<std::size_t>(m / 2 + 1, 2, m - 1);
-  const crypto::DropoutRecoverySession session(seeds, threshold,
-                                               schedule.sharing_seed);
-
-  std::vector<std::size_t> live(m);
-  for (std::size_t i = 0; i < m; ++i) live[i] = i;
-
-  ConsensusRunResult result;
-  Vector broadcast;
-  obs::Span job_span("job", "core");
-  for (std::size_t round = 0; round < params.max_iterations; ++round) {
-    obs::Span iteration_span("iteration", "core");
-    iteration_span.arg("round", static_cast<double>(round));
-    std::vector<std::vector<std::uint64_t>> masked(m);
-    std::vector<Vector> local(m);
-    {
-      obs::Span map_span("map", "core");
-      for (std::size_t i : live) local[i] = learners[i]->local_step(broadcast);
-    }
-    {
-      obs::Span sum_span("secure_sum", "core");
-      for (std::size_t i : live) {
-        masked[i] =
-            parties[i].masked_contribution_subset(local[i], round, live);
-      }
-    }
-
-    std::vector<std::size_t> dropped;
-    if (const auto it = schedule.drops.find(round);
-        it != schedule.drops.end()) {
-      for (std::size_t d : it->second)
-        if (std::find(live.begin(), live.end(), d) != live.end())
-          dropped.push_back(d);
-    }
-    std::vector<std::size_t> survivors;
-    for (std::size_t i : live)
-      if (std::find(dropped.begin(), dropped.end(), i) == dropped.end())
-        survivors.push_back(i);
-    PPML_CHECK(survivors.size() >= 2,
-               "dropout consensus: fewer than 2 survivors");
-    if (!dropped.empty())
-      PPML_CHECK(survivors.size() >= threshold,
-                 "dropout consensus: not enough survivors to reconstruct");
-
-    Vector average(dim);
-    {
-      obs::Span sum_span("secure_sum", "core");
-      std::vector<std::uint64_t> acc(dim, 0);
-      for (std::size_t i : survivors) crypto::ring_add_inplace(acc, masked[i]);
-      for (std::size_t d : dropped) {
-        obs::Span recovery_span("dropout_recovery", "core");
-        recovery_span.arg("dropped_party", static_cast<double>(d));
-        std::vector<std::uint64_t> reconstructed(m, 0);
-        for (std::size_t j : survivors) {
-          std::vector<crypto::ShamirShare> shares;
-          for (std::size_t h = 0; h < threshold; ++h)
-            shares.push_back(session.share(survivors[h], d, j));
-          reconstructed[j] =
-              crypto::DropoutRecoverySession::reconstruct_seed(shares);
-        }
-        crypto::ring_add_inplace(
-            acc, crypto::DropoutRecoverySession::mask_correction(
-                     d, survivors, reconstructed, round, dim));
-      }
-      const std::vector<double> sum = codec.decode_vector(acc);
-      for (std::size_t j = 0; j < dim; ++j)
-        average[j] = sum[j] / static_cast<double>(survivors.size());
-    }
-
-    if (!dropped.empty()) {
-      live = survivors;
-      for (std::size_t i : live)
-        learners[i]->on_cohort_resize(live.size());
-    }
-
-    Vector z_prev;
-    if (obs::enabled()) z_prev = broadcast;
-    {
-      obs::Span update_span("admm_update", "core");
-      broadcast = coordinator.combine(average);
-    }
-    record_admm_round(coordinator, average, z_prev, params.rho, learners,
-                      &live);
-    ++result.iterations;
-    if (observer) observer(round);
-    if (params.convergence_tolerance > 0.0 &&
-        coordinator.last_delta_sq() <= params.convergence_tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  return result;
-}
-
-}  // namespace seedref
 
 namespace {
 
@@ -426,6 +83,24 @@ void expect_identical(const RunRecord& a, const RunRecord& b) {
   EXPECT_EQ(a.s, b.s);
 }
 
+/// FNV-1a over a run's bits, each word little-endian: iterations,
+/// converged, every per-round delta, z, then s.
+std::uint64_t run_digest(const RunRecord& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(r.run.iterations);
+  mix(r.run.converged ? 1 : 0);
+  for (double d : r.deltas) mix(std::bit_cast<std::uint64_t>(d));
+  for (double v : r.z) mix(std::bit_cast<std::uint64_t>(v));
+  mix(std::bit_cast<std::uint64_t>(r.s));
+  return h;
+}
+
 AdmmParams base_params(std::uint64_t protocol_seed) {
   AdmmParams params;
   params.max_iterations = 8;
@@ -437,28 +112,35 @@ AdmmParams base_params(std::uint64_t protocol_seed) {
 constexpr std::uint64_t kProtocolSeeds[] = {1, 0x5eedULL, 0xDEADBEEFULL};
 
 // ---------------------------------------------------------------------------
-// Engine + InMemoryTransport vs the seed in-memory driver.
+// Engine + InMemoryTransport against golden digests. Each digest was
+// recorded from the pre-engine drivers (the hand-rolled in-memory, partial
+// and dropout loops the engine replaced) and hashes every bit those drivers
+// produced: iterations, the convergence flag, every per-round delta, z and
+// s. Decoded sums do not depend on mask seeds, so every protocol seed of
+// one configuration shares its digest.
 // ---------------------------------------------------------------------------
+
+/// One run of the engine under `policy` on the in-memory transport.
+RunRecord run_policy(const data::HorizontalPartition& partition,
+                     const AdmmParams& params, RoundPolicy& policy) {
+  return run_driver(
+      partition, params,
+      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
+        ConsensusEngine engine(learners, coordinator, params, policy);
+        InMemoryTransport transport;
+        return engine.run(transport, observer);
+      });
+}
+
+constexpr std::uint64_t kFullDigest = 0x9DDE7585844820D3ULL;
 
 TEST(ConsensusEngineBitIdentity, FullParticipationSeededMasksMultiSeed) {
   const auto partition = make_partition(4);
   for (const std::uint64_t seed : kProtocolSeeds) {
-    const AdmmParams params = base_params(seed);
-    const RunRecord reference = run_driver(
-        partition, params,
-        [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-          return seedref::run_consensus_in_memory(learners, coordinator,
-                                                  params, observer);
-        });
-    const RunRecord engine_run = run_driver(
-        partition, params,
-        [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-          FullParticipation policy;
-          ConsensusEngine engine(learners, coordinator, params, policy);
-          InMemoryTransport transport;
-          return engine.run(transport, observer);
-        });
-    expect_identical(reference, engine_run);
+    FullParticipation policy;
+    EXPECT_EQ(run_digest(run_policy(partition, base_params(seed), policy)),
+              kFullDigest)
+        << "seed=" << seed;
   }
 }
 
@@ -467,49 +149,30 @@ TEST(ConsensusEngineBitIdentity, FullParticipationExchangedMasksMultiSeed) {
   for (const std::uint64_t seed : kProtocolSeeds) {
     AdmmParams params = base_params(seed);
     params.mask_variant = crypto::MaskVariant::kExchangedMasks;
-    const RunRecord reference = run_driver(
-        partition, params,
-        [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-          return seedref::run_consensus_in_memory(learners, coordinator,
-                                                  params, observer);
-        });
-    const RunRecord engine_run = run_driver(
-        partition, params,
-        [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-          FullParticipation policy;
-          ConsensusEngine engine(learners, coordinator, params, policy);
-          InMemoryTransport transport;
-          return engine.run(transport, observer);
-        });
-    expect_identical(reference, engine_run);
+    FullParticipation policy;
+    EXPECT_EQ(run_digest(run_policy(partition, params, policy)), kFullDigest)
+        << "seed=" << seed;
   }
 }
 
 TEST(ConsensusEngineBitIdentity, PartialParticipationMultiSeed) {
   const auto partition = make_partition(5);
+  struct Case {
+    std::size_t per_round;
+    std::uint64_t sampling_seed;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {{2, 9, 0xAC837BFFDA646DC7ULL},
+                        {2, 77, 0x5A258231D0ABC807ULL},
+                        {3, 9, 0xB83887084F7201E3ULL},
+                        {3, 77, 0x67DAECBC08F64BF2ULL}};
   for (const std::uint64_t seed : kProtocolSeeds) {
-    for (const std::size_t per_round : {2u, 3u}) {
-      for (const std::uint64_t sampling_seed : {9ULL, 77ULL}) {
-        const AdmmParams params = base_params(seed);
-        const RunRecord reference = run_driver(
-            partition, params,
-            [&](auto& learners, auto& coordinator,
-                const RoundObserver& observer) {
-              return seedref::run_consensus_partial_participation(
-                  learners, coordinator, params, per_round, sampling_seed,
-                  observer);
-            });
-        const RunRecord engine_run = run_driver(
-            partition, params,
-            [&](auto& learners, auto& coordinator,
-                const RoundObserver& observer) {
-              PartialParticipation policy(per_round, sampling_seed);
-              ConsensusEngine engine(learners, coordinator, params, policy);
-              InMemoryTransport transport;
-              return engine.run(transport, observer);
-            });
-        expect_identical(reference, engine_run);
-      }
+    for (const Case& c : cases) {
+      PartialParticipation policy(c.per_round, c.sampling_seed);
+      EXPECT_EQ(run_digest(run_policy(partition, base_params(seed), policy)),
+                c.digest)
+          << "seed=" << seed << " per_round=" << c.per_round
+          << " sampling_seed=" << c.sampling_seed;
     }
   }
 }
@@ -520,23 +183,10 @@ TEST(ConsensusEngineBitIdentity, ScheduledDropoutMultiSeed) {
   schedule.drops[2] = {1};
   schedule.drops[5] = {3};
   for (const std::uint64_t seed : kProtocolSeeds) {
-    const AdmmParams params = base_params(seed);
-    const RunRecord reference = run_driver(
-        partition, params,
-        [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-          return seedref::run_consensus_with_dropout(learners, coordinator,
-                                                     params, schedule,
-                                                     observer);
-        });
-    const RunRecord engine_run = run_driver(
-        partition, params,
-        [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-          ScheduledDropout policy(schedule);
-          ConsensusEngine engine(learners, coordinator, params, policy);
-          InMemoryTransport transport;
-          return engine.run(transport, observer);
-        });
-    expect_identical(reference, engine_run);
+    ScheduledDropout policy(schedule);
+    EXPECT_EQ(run_digest(run_policy(partition, base_params(seed), policy)),
+              0x2F2B08FC0EBBB427ULL)
+        << "seed=" << seed;
   }
 }
 
@@ -546,73 +196,9 @@ TEST(ConsensusEngineBitIdentity, DropoutWithExplicitThresholdAndSharingSeed) {
   schedule.drops[1] = {0, 4};
   schedule.threshold = 2;
   schedule.sharing_seed = 0xFEEDULL;
-  const AdmmParams params = base_params(0x5eedULL);
-  const RunRecord reference = run_driver(
-      partition, params,
-      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-        return seedref::run_consensus_with_dropout(learners, coordinator,
-                                                   params, schedule, observer);
-      });
-  const RunRecord engine_run = run_driver(
-      partition, params,
-      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-        ScheduledDropout policy(schedule);
-        ConsensusEngine engine(learners, coordinator, params, policy);
-        InMemoryTransport transport;
-        return engine.run(transport, observer);
-      });
-  expect_identical(reference, engine_run);
-}
-
-// The compatibility wrappers must be indistinguishable from the engine they
-// configure (and therefore from the seed drivers).
-TEST(ConsensusEngineBitIdentity, CompatibilityWrappersDelegateExactly) {
-  const auto partition = make_partition(4);
-  const AdmmParams params = base_params(0xABCDEFULL);
-
-  const RunRecord reference = run_driver(
-      partition, params,
-      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-        return seedref::run_consensus_in_memory(learners, coordinator, params,
-                                                observer);
-      });
-  const RunRecord wrapper = run_driver(
-      partition, params,
-      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-        return run_consensus_in_memory(learners, coordinator, params,
-                                       observer);
-      });
-  expect_identical(reference, wrapper);
-
-  const RunRecord partial_reference = run_driver(
-      partition, params,
-      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-        return seedref::run_consensus_partial_participation(
-            learners, coordinator, params, 3, 21, observer);
-      });
-  const RunRecord partial_wrapper = run_driver(
-      partition, params,
-      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-        return run_consensus_partial_participation(learners, coordinator,
-                                                   params, 3, 21, observer);
-      });
-  expect_identical(partial_reference, partial_wrapper);
-
-  DropoutSchedule schedule;
-  schedule.drops[3] = {2};
-  const RunRecord dropout_reference = run_driver(
-      partition, params,
-      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-        return seedref::run_consensus_with_dropout(learners, coordinator,
-                                                   params, schedule, observer);
-      });
-  const RunRecord dropout_wrapper = run_driver(
-      partition, params,
-      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-        return run_consensus_with_dropout(learners, coordinator, params,
-                                          schedule, observer);
-      });
-  expect_identical(dropout_reference, dropout_wrapper);
+  ScheduledDropout policy(schedule);
+  EXPECT_EQ(run_digest(run_policy(partition, base_params(0x5eedULL), policy)),
+            0x5242AF178EB66A4DULL);
 }
 
 // Early convergence must trip on exactly the same round.
@@ -621,22 +207,11 @@ TEST(ConsensusEngineBitIdentity, ConvergenceStopsOnTheSameRound) {
   AdmmParams params = base_params(7);
   params.max_iterations = 200;
   params.convergence_tolerance = 1e-3;
-  const RunRecord reference = run_driver(
-      partition, params,
-      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-        return seedref::run_consensus_in_memory(learners, coordinator, params,
-                                                observer);
-      });
-  const RunRecord engine_run = run_driver(
-      partition, params,
-      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
-        FullParticipation policy;
-        ConsensusEngine engine(learners, coordinator, params, policy);
-        InMemoryTransport transport;
-        return engine.run(transport, observer);
-      });
-  EXPECT_TRUE(engine_run.run.converged);
-  expect_identical(reference, engine_run);
+  FullParticipation policy;
+  const RunRecord run = run_policy(partition, params, policy);
+  EXPECT_TRUE(run.run.converged);
+  EXPECT_LT(run.run.iterations, params.max_iterations);
+  EXPECT_EQ(run_digest(run), 0x8C5160AA56D7A982ULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -662,14 +237,12 @@ RunRecord run_on_cluster(const data::HorizontalPartition& partition,
   };
 
   AveragingCoordinator coordinator(partition.shards.front().features() + 1);
-  const ClusterTrainResult cluster_run = run_consensus_on_cluster(
-      cluster, shards, factory, coordinator,
-      partition.shards.front().features() + 1,
-      /*reducer_node=*/m, params);
+  ConsensusEngine engine(m, coordinator, params);
+  FabricTransport transport(cluster, shards, factory, /*reducer_node=*/m);
 
   RunRecord record;
-  record.run = cluster_run.run;
-  record.deltas = cluster_run.delta_trace;
+  record.run = engine.run(transport);
+  record.deltas = transport.delta_trace();
   record.z = coordinator.z();
   record.s = coordinator.s();
   return record;
@@ -758,6 +331,74 @@ TEST(AsyncConsensusBitIdentity, QuorumMNoDeadlineEqualsSyncOnFabric) {
         run_on_cluster(partition, async_degenerate_params(seed));
     expect_identical(sync_run, async_run);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Wire bytes of an exchanged-variant engine run.
+// ---------------------------------------------------------------------------
+
+/// In-process transport that masks through the engine's session, hashes
+/// every party's wire vector, and reduces through the engine.
+class WireDigestTransport final : public Transport {
+ public:
+  explicit WireDigestTransport(
+      std::vector<std::shared_ptr<ConsensusLearner>>& learners)
+      : learners_(learners) {}
+
+  ConsensusRunResult run(ConsensusEngine& engine,
+                         const RoundObserver& observer) override {
+    const std::size_t m = learners_.size();
+    std::vector<std::size_t> all(m);
+    for (std::size_t i = 0; i < m; ++i) all[i] = i;
+    ConsensusRunResult result;
+    Vector broadcast;
+    for (std::size_t round = 0; round < engine.params().max_iterations;
+         ++round) {
+      std::vector<Vector> values(m);
+      for (std::size_t i = 0; i < m; ++i)
+        values[i] = learners_[i]->local_step(broadcast);
+      std::vector<std::vector<std::uint64_t>> wire(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        const crypto::SecureSumSession::Tensor tensor = values[i];
+        wire[i] = engine.session().contribute(i, {&tensor, 1}, round, all);
+        for (std::uint64_t w : wire[i])
+          for (int b = 0; b < 8; ++b) {
+            digest_ ^= (w >> (8 * b)) & 0xFF;
+            digest_ *= 0x100000001b3ULL;
+          }
+      }
+      broadcast = engine.reduce_round(round, all, all, wire).broadcast;
+      ++result.iterations;
+      if (observer) observer(round);
+    }
+    engine.finalize_result(result);
+    return result;
+  }
+
+  std::uint64_t digest() const noexcept { return digest_; }
+
+ private:
+  std::vector<std::shared_ptr<ConsensusLearner>>& learners_;
+  std::uint64_t digest_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(ConsensusEngineWire, ExchangedVariantWireDigestPinned) {
+  const auto partition = make_partition(4);
+  AdmmParams params = base_params(0x5eedULL);
+  params.mask_variant = crypto::MaskVariant::kExchangedMasks;
+  std::uint64_t digest = 0;
+  const RunRecord tapped = run_driver(
+      partition, params,
+      [&](auto& learners, auto& coordinator, const RoundObserver& observer) {
+        FullParticipation policy;
+        ConsensusEngine engine(learners, coordinator, params, policy);
+        WireDigestTransport transport(learners);
+        const ConsensusRunResult result = engine.run(transport, observer);
+        digest = transport.digest();
+        return result;
+      });
+  EXPECT_EQ(digest, 0x017C8A68234255D2ULL);
+  EXPECT_EQ(tapped.run.iterations, params.max_iterations);
 }
 
 // ---------------------------------------------------------------------------

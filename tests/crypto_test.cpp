@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "crypto/dh.h"
@@ -209,6 +210,65 @@ TEST(ChaChaFill, SessionContributeDigestPinned) {
       }
     EXPECT_EQ(h, 0x354131C9AB8DA384ULL);
   });
+}
+
+/// FNV-1a over every party's masked wire vector in `mask_set`, rounds
+/// 0..rounds-1, each party contributing `width` values drawn from `rng_seed`.
+std::uint64_t session_wire_digest(SecureSumSession& session,
+                                  const std::vector<std::size_t>& mask_set,
+                                  std::size_t width, std::size_t rounds,
+                                  std::uint64_t rng_seed) {
+  std::vector<std::vector<double>> values(session.num_parties(),
+                                          std::vector<double>(width));
+  Xoshiro256 rng(rng_seed);
+  for (auto& row : values)
+    for (double& x : row) x = (rng.next_double() - 0.5) * 8.0;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t round = 0; round < rounds; ++round)
+    for (std::size_t i : mask_set) {
+      const SecureSumSession::Tensor tensor(values[i]);
+      h = fnv1a_words(h, session.contribute(i, {&tensor, 1}, round, mask_set));
+    }
+  return h;
+}
+
+TEST(ChaChaFill, SessionSubsetContributeDigestPinned) {
+  // A seeded round over a participant subset: masks run only over the
+  // induced subgraph on {0, 2, 3, 5, 7} of an 8-party cohort.
+  SecureSumConfig config;
+  config.num_parties = 8;
+  config.codec_terms = 5;
+  config.protocol_seed = 0x5EED18ULL;
+  const std::vector<std::size_t> subset{0, 2, 3, 5, 7};
+  for_each_isa([&] {
+    SecureSumSession session(config);
+    EXPECT_EQ(session_wire_digest(session, subset, 2000, 3, 18),
+              0x346FF2DD3D65437EULL);
+  });
+}
+
+TEST(ChaChaFill, GroupedRingContributeDigestPinned) {
+  // Grouped-ring rounds: M = 8 (auto groups 3/3/2, plus an explicit group
+  // size of 2) and M = 128 (auto groups of 12), full cohort.
+  for (const auto& [m, group_size, width, digest] :
+       std::vector<std::tuple<std::size_t, std::size_t, std::size_t,
+                              std::uint64_t>>{
+           {8, 0, 1000, 0xF1ECD58BE732AEC7ULL},
+           {8, 2, 1000, 0xB1957999A36544E7ULL},
+           {128, 0, 64, 0xE02091AB1B43F0D9ULL}}) {
+    SecureSumConfig config;
+    config.num_parties = m;
+    config.protocol_seed = 0x5EED18ULL + m;
+    config.topology = AggregationTopology::kGroupedRing;
+    config.group_size = group_size;
+    std::vector<std::size_t> everyone(m);
+    for (std::size_t i = 0; i < m; ++i) everyone[i] = i;
+    for_each_isa([&] {
+      SecureSumSession session(config);
+      EXPECT_EQ(session_wire_digest(session, everyone, width, 2, m), digest)
+          << "m=" << m << " group_size=" << group_size;
+    });
+  }
 }
 
 TEST(FixedPoint, RoundTripPreservesValues) {
@@ -515,8 +575,9 @@ TEST(SecureSum, MaskedContributionHidesValue) {
   const auto seeds = agree_pairwise_seeds(4, 7);
   SecureSumParty party(0, 4, codec, seeds[0]);
   const std::vector<double> value{1.0, 2.0, 3.0};
-  const auto masked0 = party.masked_contribution(value, 0);
-  const auto masked1 = party.masked_contribution(value, 1);
+  const std::vector<std::size_t> everyone{0, 1, 2, 3};
+  const auto masked0 = party.mask(value, 0, everyone);
+  const auto masked1 = party.mask(value, 1, everyone);
   const auto plain = codec.encode_vector(value);
   EXPECT_NE(masked0, plain);
   EXPECT_NE(masked0, masked1);
@@ -535,8 +596,9 @@ TEST(SecureSum, CoalitionOfAllButOneLearnsNothingDeterministic) {
   const std::vector<double> secret_b{-17.0};
   SecureSumParty party_a(0, 4, codec, seeds[0]);
   SecureSumParty party_b(0, 4, codec, seeds[0]);
-  const auto view_a = party_a.masked_contribution(secret_a, 0);
-  const auto view_b = party_b.masked_contribution(secret_b, 0);
+  const std::vector<std::size_t> everyone{0, 1, 2, 3};
+  const auto view_a = party_a.mask(secret_a, 0, everyone);
+  const auto view_b = party_b.mask(secret_b, 0, everyone);
   // Coalition knows masks (0,1) and (0,2); strip them.
   auto strip = [&](std::vector<std::uint64_t> v) {
     for (std::size_t peer : {1, 2}) {
@@ -557,16 +619,22 @@ TEST(SecureSum, CoalitionOfAllButOneLearnsNothingDeterministic) {
             stripped_b[0] - codec.encode(-17.0));
 }
 
-TEST(SecureSum, AggregatorRequiresAllContributions) {
-  const FixedPointCodec codec(20, 3);
-  SecureSumAggregator aggregator(3, codec);
-  aggregator.add(std::vector<std::uint64_t>{1, 2});
-  EXPECT_THROW(aggregator.sum(), InvalidArgument);
-  aggregator.add(std::vector<std::uint64_t>{1, 2});
-  aggregator.add(std::vector<std::uint64_t>{1, 2});
-  EXPECT_NO_THROW(aggregator.sum());
-  EXPECT_THROW(aggregator.add(std::vector<std::uint64_t>{1, 2}),
+TEST(SecureSum, ReduceRequiresAllContributionsWithoutRecovery) {
+  // Without armed recovery the masks cancel only when every party of the
+  // mask set delivered; a missing one must throw, not decode garbage.
+  SecureSumConfig config;
+  config.num_parties = 3;
+  SecureSumSession session(config);
+  const std::vector<std::size_t> everyone{0, 1, 2};
+  const std::vector<double> value{1.0, 2.0};
+  const SecureSumSession::Tensor tensor(value);
+  std::vector<std::vector<std::uint64_t>> wire(3);
+  for (std::size_t i : everyone)
+    wire[i] = session.contribute(i, {&tensor, 1}, 0, everyone);
+  const std::vector<std::size_t> two{0, 1};
+  EXPECT_THROW(session.reduce_average(0, everyone, two, wire),
                InvalidArgument);
+  EXPECT_NO_THROW(session.reduce_average(0, everyone, everyone, wire));
 }
 
 TEST(SecureSum, PairwiseSeedsSymmetric) {

@@ -1,18 +1,27 @@
 #include <gtest/gtest.h>
 
 #include "crypto/dropout_recovery.h"
+#include "crypto/secure_sum_session.h"
 
 namespace ppml::crypto {
 namespace {
 
+SecureSumConfig config_for(std::size_t m) {
+  SecureSumConfig config;
+  config.num_parties = m;
+  config.protocol_seed = 42;
+  return config;
+}
+
 struct ProtocolFixture {
   std::size_t parties;
-  FixedPointCodec codec{20, 8};
-  std::vector<std::vector<std::uint64_t>> seeds;
+  SecureSumSession session;
+  std::vector<std::size_t> everyone;
   std::vector<std::vector<double>> values;
 
-  explicit ProtocolFixture(std::size_t m) : parties(m) {
-    seeds = agree_pairwise_seeds(m, 42);
+  explicit ProtocolFixture(std::size_t m)
+      : parties(m), session(config_for(m)), everyone(m) {
+    for (std::size_t i = 0; i < m; ++i) everyone[i] = i;
     values.resize(m);
     Xoshiro256 rng(m);
     for (auto& v : values) {
@@ -21,18 +30,29 @@ struct ProtocolFixture {
     }
   }
 
-  std::vector<std::uint64_t> contribution(std::size_t party,
-                                          std::size_t round) const {
-    SecureSumParty p(party, parties, codec, seeds[party]);
-    return p.masked_contribution(values[party], round);
+  /// Every party but `dropped` masks against the full cohort for `round`
+  /// (indexed by party id; the dropped party's entry stays empty).
+  std::vector<std::vector<std::uint64_t>> contributions(std::size_t dropped,
+                                                        std::size_t round) {
+    std::vector<std::vector<std::uint64_t>> out(parties);
+    for (std::size_t i : survivors(dropped)) {
+      const SecureSumSession::Tensor tensor(values[i]);
+      out[i] = session.contribute(i, {&tensor, 1}, round, everyone);
+    }
+    return out;
+  }
+
+  std::vector<std::size_t> survivors(std::size_t dropped) const {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < parties; ++i)
+      if (i != dropped) out.push_back(i);
+    return out;
   }
 
   std::vector<double> survivor_expected(std::size_t dropped) const {
     std::vector<double> expected(5, 0.0);
-    for (std::size_t i = 0; i < parties; ++i) {
-      if (i == dropped) continue;
+    for (std::size_t i : survivors(dropped))
       for (std::size_t j = 0; j < 5; ++j) expected[j] += values[i][j];
-    }
     return expected;
   }
 };
@@ -40,11 +60,9 @@ struct ProtocolFixture {
 TEST(DropoutRecovery, WithoutRecoveryTheSumIsGarbage) {
   ProtocolFixture setup(4);
   std::vector<std::uint64_t> total(5, 0);
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (i == 2) continue;  // party 2 drops
-    ring_add_inplace(total, setup.contribution(i, 0));
-  }
-  const auto decoded = setup.codec.decode_vector(total);
+  for (const auto& contribution : setup.contributions(/*dropped=*/2, 0))
+    if (!contribution.empty()) ring_add_inplace(total, contribution);
+  const auto decoded = setup.session.codec().decode_vector(total);
   const auto expected = setup.survivor_expected(2);
   // Uncancelled masks => decoded values are wildly off.
   bool any_far = false;
@@ -59,21 +77,17 @@ class DropoutRecoveryParties
 TEST_P(DropoutRecoveryParties, RecoversExactSurvivorSum) {
   const auto [m, dropped] = GetParam();
   ProtocolFixture setup(m);
-  DropoutRecoverySession session(setup.seeds, /*threshold=*/2, 7);
+  setup.session.arm_recovery(/*threshold=*/2, /*sharing_seed=*/7);
 
-  std::vector<std::size_t> survivors;
-  std::vector<std::vector<std::uint64_t>> contributions;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (i == dropped) continue;
-    survivors.push_back(i);
-    contributions.push_back(setup.contribution(i, /*round=*/3));
-  }
-
-  const auto recovered = recover_survivor_sum(
-      session, contributions, survivors, dropped, /*round=*/3, setup.codec);
+  SecureSumSession::ReduceAudit audit;
+  setup.session.reduce_average(/*round=*/3, setup.everyone,
+                               setup.survivors(dropped),
+                               setup.contributions(dropped, /*round=*/3),
+                               &audit);
+  EXPECT_EQ(audit.dropped, std::vector<std::size_t>{dropped});
   const auto expected = setup.survivor_expected(dropped);
   for (std::size_t j = 0; j < 5; ++j)
-    EXPECT_NEAR(recovered[j], expected[j], 1e-4) << "entry " << j;
+    EXPECT_NEAR(audit.decoded_sum[j], expected[j], 1e-4) << "entry " << j;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -83,41 +97,42 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DropoutRecovery, SharesReconstructSeeds) {
   ProtocolFixture setup(5);
-  DropoutRecoverySession session(setup.seeds, 3, 9);
+  const auto& seeds = setup.session.pairwise_seeds();
+  DropoutRecoverySession session(seeds, 3, 9);
   // Any 3 holders' shares of pair (1, 4) reconstruct the true seed.
   std::vector<ShamirShare> revealed{session.share(0, 1, 4),
                                     session.share(2, 1, 4),
                                     session.share(4, 1, 4)};
-  EXPECT_EQ(DropoutRecoverySession::reconstruct_seed(revealed),
-            setup.seeds[1][4]);
+  EXPECT_EQ(DropoutRecoverySession::reconstruct_seed(revealed), seeds[1][4]);
   // Fewer than threshold shares give the wrong value.
   std::vector<ShamirShare> too_few{session.share(0, 1, 4),
                                    session.share(2, 1, 4)};
-  EXPECT_NE(DropoutRecoverySession::reconstruct_seed(too_few),
-            setup.seeds[1][4]);
+  EXPECT_NE(DropoutRecoverySession::reconstruct_seed(too_few), seeds[1][4]);
 }
 
 TEST(DropoutRecovery, ValidatesInputs) {
   ProtocolFixture setup(4);
-  EXPECT_THROW(DropoutRecoverySession(setup.seeds, 1, 1), InvalidArgument);
-  EXPECT_THROW(DropoutRecoverySession(setup.seeds, 4, 1), InvalidArgument);
+  const auto& seeds = setup.session.pairwise_seeds();
+  EXPECT_THROW(DropoutRecoverySession(seeds, 1, 1), InvalidArgument);
+  EXPECT_THROW(DropoutRecoverySession(seeds, 4, 1), InvalidArgument);
 
-  DropoutRecoverySession session(setup.seeds, 2, 1);
+  DropoutRecoverySession session(seeds, 2, 1);
   EXPECT_THROW(session.share(0, 1, 1), InvalidArgument);
   EXPECT_THROW(session.share(9, 0, 1), InvalidArgument);
 
   // Not enough survivors to hit the threshold.
-  DropoutRecoverySession strict(setup.seeds, 3, 1);
-  std::vector<std::vector<std::uint64_t>> contributions{
-      setup.contribution(0, 0), setup.contribution(1, 0)};
-  EXPECT_THROW(recover_survivor_sum(strict, contributions, {0, 1}, 3, 0,
-                                    setup.codec),
-               InvalidArgument);
+  setup.session.arm_recovery(/*threshold=*/3, /*sharing_seed=*/1);
+  auto contributions = setup.contributions(/*dropped=*/3, 0);
+  contributions[2].clear();
+  const std::vector<std::size_t> present{0, 1};
+  EXPECT_THROW(
+      setup.session.reduce_average(0, setup.everyone, present, contributions),
+      InvalidArgument);
 }
 
 TEST(DropoutRecovery, AsymmetricSeedMatrixRejected) {
   ProtocolFixture setup(3);
-  auto seeds = setup.seeds;
+  auto seeds = setup.session.pairwise_seeds();
   seeds[0][1] ^= 1;
   EXPECT_THROW(DropoutRecoverySession(seeds, 2, 1), InvalidArgument);
 }

@@ -163,10 +163,11 @@ TEST(GlmOnCluster, LogisticRunsThroughMapReduceAdapter) {
   mapreduce::ClusterConfig config;
   config.num_nodes = 4;
   mapreduce::Cluster cluster(config);
-  const auto result = core::run_consensus_on_cluster(
-      cluster, shards, factory, coordinator, split.train.features() + 1,
-      /*reducer_node=*/3, admm);
-  EXPECT_EQ(result.job.rounds, 40u);
+  core::ConsensusEngine engine(3, coordinator, admm);
+  core::FabricTransport transport(cluster, shards, factory,
+                                  /*reducer_node=*/3);
+  engine.run(transport);
+  EXPECT_EQ(transport.job_stats().rounds, 40u);
 
   const svm::LinearModel model{coordinator.z(), coordinator.s()};
   EXPECT_GE(svm::accuracy(model.predict_all(split.test.x), split.test.y),
@@ -196,9 +197,10 @@ TEST(GlmOnCluster, MatchesInMemoryLogistic) {
   mapreduce::ClusterConfig config;
   config.num_nodes = 4;
   mapreduce::Cluster cluster(config);
-  core::run_consensus_on_cluster(cluster, shards, factory, coordinator,
-                                 split.train.features() + 1, 3,
-                                 glm.as_admm());
+  core::ConsensusEngine engine(3, coordinator, glm.as_admm());
+  core::FabricTransport transport(cluster, shards, factory,
+                                  /*reducer_node=*/3);
+  engine.run(transport);
   const svm::LinearModel on_cluster{coordinator.z(), coordinator.s()};
   for (std::size_t j = 0; j < reference.model.w.size(); ++j)
     EXPECT_NEAR(on_cluster.w[j], reference.model.w[j], 1e-9);

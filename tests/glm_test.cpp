@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/consensus_engine.h"
 #include "core/glm_horizontal.h"
 #include "core/glm_vertical.h"
 #include "core/secure_prediction.h"
@@ -248,15 +249,15 @@ TEST(PartialParticipation, SubsetMasksCancelExactly) {
   const crypto::FixedPointCodec codec(20, 3);
   const auto seeds = crypto::agree_pairwise_seeds(m, 3);
   const std::vector<std::size_t> participants{1, 3, 4};
-  crypto::SecureSumAggregator aggregator(3, codec);
+  std::vector<std::uint64_t> ring_sum(1, 0);
   double expected = 0.0;
   for (std::size_t i : participants) {
     crypto::SecureSumParty party(i, m, codec, seeds[i]);
     const std::vector<double> value{static_cast<double>(i) + 0.5};
     expected += value[0];
-    aggregator.add(party.masked_contribution_subset(value, 4, participants));
+    crypto::ring_add_inplace(ring_sum, party.mask(value, 4, participants));
   }
-  EXPECT_NEAR(aggregator.sum()[0], expected, 1e-5);
+  EXPECT_NEAR(codec.decode_vector(ring_sum)[0], expected, 1e-5);
 }
 
 TEST(PartialParticipation, NonParticipantCannotContribute) {
@@ -265,9 +266,8 @@ TEST(PartialParticipation, NonParticipantCannotContribute) {
   const auto seeds = crypto::agree_pairwise_seeds(m, 3);
   crypto::SecureSumParty party(0, m, codec, seeds[0]);
   const std::vector<std::size_t> others{1, 2};
-  EXPECT_THROW(
-      party.masked_contribution_subset(std::vector<double>{1.0}, 0, others),
-      InvalidArgument);
+  EXPECT_THROW(party.mask(std::vector<double>{1.0}, 0, others),
+               InvalidArgument);
 }
 
 TEST(PartialParticipation, StillLearnsWithSampledRounds) {
@@ -283,9 +283,11 @@ TEST(PartialParticipation, StillLearnsWithSampledRounds) {
         std::make_shared<LinearHorizontalLearner>(shard, m, params));
   AveragingCoordinator coordinator(split.train.features() + 1);
 
-  const auto run = run_consensus_partial_participation(
-      learners, coordinator, params, /*participants_per_round=*/3,
-      /*sampling_seed=*/5);
+  PartialParticipation policy(/*participants_per_round=*/3,
+                              /*sampling_seed=*/5);
+  InMemoryTransport transport;
+  const auto run =
+      ConsensusEngine(learners, coordinator, params, policy).run(transport);
   EXPECT_EQ(run.iterations, 80u);
 
   const svm::LinearModel model{coordinator.z(), coordinator.s()};
@@ -303,17 +305,15 @@ TEST(PartialParticipation, ValidatesArguments) {
     learners.push_back(
         std::make_shared<LinearHorizontalLearner>(shard, 4, params));
   AveragingCoordinator coordinator(split.train.features() + 1);
-  EXPECT_THROW(run_consensus_partial_participation(learners, coordinator,
-                                                   params, 1, 1),
-               InvalidArgument);
-  EXPECT_THROW(run_consensus_partial_participation(learners, coordinator,
-                                                   params, 9, 1),
-               InvalidArgument);
+  const auto build = [&](const AdmmParams& p, std::size_t per_round) {
+    PartialParticipation policy(per_round, /*sampling_seed=*/1);
+    ConsensusEngine engine(learners, coordinator, p, policy);
+  };
+  EXPECT_THROW(build(params, 1), InvalidArgument);
+  EXPECT_THROW(build(params, 9), InvalidArgument);
   AdmmParams exchanged = params;
   exchanged.mask_variant = crypto::MaskVariant::kExchangedMasks;
-  EXPECT_THROW(run_consensus_partial_participation(learners, coordinator,
-                                                   exchanged, 2, 1),
-               InvalidArgument);
+  EXPECT_THROW(build(exchanged, 2), InvalidArgument);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <numeric>
+#include <thread>
 
 #include "linalg/microkernel.h"
 #include "mapreduce/blockstore.h"
@@ -651,8 +653,11 @@ TEST(Executor, SubmitReturnsValue) {
 /// exchange hook by sending its index to every other mapper.
 class ConstantMapper final : public IterativeMapper {
  public:
-  ConstantMapper(std::uint64_t value, std::size_t index, std::size_t peers)
-      : value_(value), index_(index), peers_(peers) {}
+  /// `map_time` > 0 makes every map() take at least that long, so its wall
+  /// time dominates scheduler jitter.
+  ConstantMapper(std::uint64_t value, std::size_t index, std::size_t peers,
+                 std::chrono::microseconds map_time = {})
+      : value_(value), index_(index), peers_(peers), map_time_(map_time) {}
 
   void configure(const BlockStore& storage, NodeId node) override {
     configured_node_ = node;
@@ -672,6 +677,7 @@ class ConstantMapper final : public IterativeMapper {
 
   Bytes map(std::size_t, const Bytes& broadcast,
             const std::vector<Bytes>& peer_messages) override {
+    if (map_time_.count() > 0) std::this_thread::sleep_for(map_time_);
     std::uint64_t peer_sum = 0;
     for (std::size_t p = 0; p < peer_messages.size(); ++p) {
       if (peer_messages[p].empty()) continue;
@@ -694,6 +700,7 @@ class ConstantMapper final : public IterativeMapper {
   std::uint64_t value_;
   std::size_t index_;
   std::size_t peers_;
+  std::chrono::microseconds map_time_;
 };
 
 class SummingReducer final : public IterativeReducer {
@@ -1021,7 +1028,10 @@ TEST(IterativeJob, DeliversThroughLossyFabric) {
 TEST(IterativeJob, SpeculativeExecutionCapsStragglers) {
   // One 20x straggler with a replica on a fast node: with speculation the
   // simulated round time is bounded by factor x median + the backup's run,
-  // and the speculative attempts are counted deterministically.
+  // and the speculative attempts are counted deterministically. Each map
+  // sleeps 5 ms, so a round costs ~100 ms simulated without speculation and
+  // ~20 ms with it: scheduler jitter of microseconds to a few milliseconds
+  // cannot invert the comparison.
   const auto run_with = [](double speculation_factor) {
     ClusterConfig cluster_config = make_config(5, /*replication=*/2);
     cluster_config.node_speed_factors = {20.0, 1.0, 1.0, 1.0, 1.0};
@@ -1032,7 +1042,9 @@ TEST(IterativeJob, SpeculativeExecutionCapsStragglers) {
     IterativeJob job(cluster, config);
     for (std::size_t i = 0; i < 3; ++i) {
       const BlockId block = cluster.store_shard("s", Bytes{1}, i);
-      job.add_mapper(std::make_shared<ConstantMapper>(1, i, 3), block);
+      job.add_mapper(std::make_shared<ConstantMapper>(
+                         1, i, 3, std::chrono::milliseconds(5)),
+                     block);
     }
     job.set_reducer(std::make_shared<SummingReducer>(999), 4);
     return job.run({});

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -122,6 +123,43 @@ TEST(PrivacyLedgerPads, SamePlaintextIsBenignReplayNotViolation) {
   EXPECT_FALSE(snap.pad_table_overflow);
 }
 
+TEST(PrivacyLedgerPads, ExchangedReuseNamesTheRealRound) {
+  // A fabric mapper masks with the exchanged streams it cached for the
+  // round; replaying round 7's streams over a second plaintext must trip
+  // and name round 7.
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  obs::PrivacyLedger ledger;
+  obs::Session session(&tracer, &metrics, nullptr, &ledger);
+
+  SecureSumConfig config = seeded_config(3, 0xFEEDu);
+  config.variant = crypto::MaskVariant::kExchangedMasks;
+  std::vector<std::vector<std::vector<std::uint64_t>>> sent;
+  for (std::size_t i = 0; i < 3; ++i)
+    sent.push_back(
+        SecureSumSession::make_party(config, i).outgoing_masks(7, 3));
+  using Views = std::vector<std::span<const std::uint64_t>>;
+  const Views own(sent[1].begin(), sent[1].end());
+  const Views received{sent[0][1], {}, sent[2][1]};
+  const crypto::SecureSumParty party = SecureSumSession::make_party(config, 1);
+  const std::vector<double> a{1.0, 2.0, 3.0};
+  const std::vector<double> b{4.0, 5.0, 6.0};
+
+  party.mask(a, own, received, /*round=*/7);
+  try {
+    party.mask(b, own, received, /*round=*/7);
+    FAIL() << "pad reuse did not trip";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("round 7"), std::string::npos)
+        << e.what();
+  }
+  const auto snap = ledger.snapshot();
+  ASSERT_EQ(snap.violations.size(), 1u);
+  EXPECT_NE(snap.violations[0].detail.find("round 7 site exchanged"),
+            std::string::npos)
+      << snap.violations[0].detail;
+}
+
 TEST(PrivacyLedgerPads, CrossSessionSeedReuseCollides) {
   // Two sessions, same protocol seed (a missed rekey): each session's own
   // bookkeeping is clean, but the pads are keyed on the seed VALUES, so the
@@ -209,29 +247,28 @@ TEST(PrivacyLedgerShamir, DroppedPartyReconstructionIsSanctioned) {
   obs::PrivacyLedger ledger;
   obs::Session session(&tracer, &metrics, nullptr, &ledger);
 
-  const std::size_t m = 5;
-  const auto seeds = crypto::agree_pairwise_seeds(m, 42);
-  const crypto::FixedPointCodec codec(20, 8);
-  crypto::DropoutRecoverySession recovery(seeds, /*threshold=*/2, 7);
+  SecureSumSession sum(seeded_config(5, 42));
+  sum.arm_recovery(/*threshold=*/2, /*sharing_seed=*/7);
 
   const std::size_t dropped = 2;
+  const std::vector<std::size_t> everyone{0, 1, 2, 3, 4};
   std::vector<std::size_t> survivors;
-  std::vector<std::vector<std::uint64_t>> contributions;
+  std::vector<std::vector<std::uint64_t>> contributions(5);
   std::vector<double> expected(4, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
+  for (std::size_t i : everyone) {
     if (i == dropped) continue;
     survivors.push_back(i);
     const std::vector<double> values{1.0 * static_cast<double>(i), 2.0, 3.0,
                                      4.0};
     for (std::size_t j = 0; j < 4; ++j) expected[j] += values[j];
-    crypto::SecureSumParty party(i, m, codec, seeds[i]);
-    contributions.push_back(party.masked_contribution(values, /*round=*/1));
+    const std::vector<Tensor> tensors{Tensor(values)};
+    contributions[i] = sum.contribute(i, tensors, /*round=*/1, everyone);
   }
 
-  const auto recovered = crypto::recover_survivor_sum(
-      recovery, contributions, survivors, dropped, /*round=*/1, codec);
+  SecureSumSession::ReduceAudit audit;
+  sum.reduce_average(/*round=*/1, everyone, survivors, contributions, &audit);
   for (std::size_t j = 0; j < 4; ++j)
-    EXPECT_NEAR(recovered[j], expected[j], 1e-4);
+    EXPECT_NEAR(audit.decoded_sum[j], expected[j], 1e-4);
 
   // The same reveals that would trip a live pair pass silently once the
   // party is declared dropped — and every reveal/reconstruction is on the
@@ -295,23 +332,22 @@ TEST(PrivacyLedgerReconcile, ExchangedVariantAndTrainersReconcile) {
   obs::PrivacyLedger ledger;
   obs::Session session(&tracer, &metrics, nullptr, &ledger);
 
-  // Exchanged-variant session flow (exchange_round + contribute_exchanged).
+  // Exchanged-variant session flow (each round's streams derived once).
   SecureSumConfig config;
   config.num_parties = 3;
   config.variant = crypto::MaskVariant::kExchangedMasks;
   config.protocol_seed = 5;
   SecureSumSession sum(config);
+  const std::vector<std::size_t> everyone{0, 1, 2};
   std::vector<std::vector<std::uint64_t>> contributions(3);
   for (std::size_t round = 0; round < 3; ++round) {
-    sum.exchange_round(round, 4);
     for (std::size_t i = 0; i < 3; ++i) {
       obs::PartyScope scope(i);
       const std::vector<double> values{1.0, 2.0, 3.0,
                                        static_cast<double>(round)};
       const std::vector<Tensor> tensors{Tensor(values)};
-      contributions[i] = sum.contribute_exchanged(i, tensors, round);
+      contributions[i] = sum.contribute(i, tensors, round, everyone);
     }
-    const std::vector<std::size_t> everyone{0, 1, 2};
     sum.reduce_average(round, everyone, everyone, contributions);
   }
 

@@ -10,6 +10,7 @@
 
 #include <random>
 
+#include "core/consensus_engine.h"
 #include "core/linear_horizontal.h"
 #include "core/vertical.h"
 #include "crypto/paillier.h"
@@ -66,8 +67,9 @@ TEST_P(SecureEqualsPlain, LinearHorizontalRoundByRound) {
         std::make_shared<core::LinearHorizontalLearner>(shard, m, params));
   core::AveragingCoordinator coordinator(dim);
   std::vector<linalg::Vector> secure_broadcasts;
-  core::run_consensus_in_memory(
-      secure, coordinator, params, [&](std::size_t) {
+  core::InMemoryTransport transport;
+  core::ConsensusEngine(secure, coordinator, params)
+      .run(transport, [&](std::size_t) {
         linalg::Vector state = coordinator.z();
         state.push_back(coordinator.s());
         secure_broadcasts.push_back(std::move(state));
