@@ -27,7 +27,7 @@ int main() {
         partition, bench::paper_params(60), &dataset.split.test);
 
     core::GlmParams glm;
-    glm.max_iterations = 60;
+    glm.admm.max_iterations = 60;
     const auto logistic =
         core::train_logistic_horizontal(partition, glm, &dataset.split.test);
     const auto ridge =
@@ -44,8 +44,8 @@ int main() {
     const auto cancer = bench::make_bench_dataset("cancer");
     const auto vp = data::partition_vertically(cancer.split.train, 4, 7);
     core::GlmParams vparams;
-    vparams.max_iterations = 60;
-    vparams.rho = 10.0;
+    vparams.admm.max_iterations = 60;
+    vparams.admm.rho = 10.0;
     const auto vridge =
         core::train_ridge_vertical(vp, vparams, &cancer.split.test);
     const auto vlogistic =
@@ -64,7 +64,7 @@ int main() {
   const auto svm_result = core::train_linear_horizontal(
       partition, bench::paper_params(60), nullptr);
   core::GlmParams glm;
-  glm.max_iterations = 60;
+  glm.admm.max_iterations = 60;
   const auto logistic = core::train_logistic_horizontal(partition, glm);
   const auto ridge = core::train_ridge_horizontal(partition, glm);
   for (std::size_t r : {0ul, 4ul, 9ul, 19ul, 39ul, 59ul}) {

@@ -39,12 +39,9 @@ int main() {
               svm::accuracy(result.model.predict_all(split.test.x),
                             split.test.y) *
                   100.0);
-  std::printf("cluster counters: rounds=%lld attempts=%lld retries=%lld\n",
-              static_cast<long long>(cluster.counters().value("job.rounds")),
-              static_cast<long long>(
-                  cluster.counters().value("job.map_task_attempts")),
-              static_cast<long long>(
-                  cluster.counters().value("job.task_retries")));
+  std::printf("job stats: rounds=%zu attempts=%zu retries=%zu\n",
+              result.cluster.job.rounds, result.cluster.job.map_task_attempts,
+              result.cluster.job.task_retries);
 
   std::printf("\n=== (b) Mid-round dropout in the secure sum ===\n");
   constexpr std::size_t kParties = 5;
@@ -126,26 +123,18 @@ int main() {
                     ? "post-mask (sum corrected via seed reconstruction)"
                     : "pre-mask (survivors masked over the smaller set)");
   }
-  const auto& counters = chaos_cluster.counters();
-  const auto count = [&](const char* name) {
-    return static_cast<long long>(counters.value(name));
-  };
+  const mapreduce::JobStats& job = chaos.cluster.job;
   std::printf("fault counters:\n");
-  std::printf("  net.messages_dropped     = %lld\n",
-              count("net.messages_dropped"));
-  std::printf("  net.messages_corrupted   = %lld\n",
-              count("net.messages_corrupted"));
-  std::printf("  job.frames_rejected      = %lld (CRC catches)\n",
-              count("job.frames_rejected"));
-  std::printf("  job.message_retries      = %lld\n",
-              count("job.message_retries"));
-  std::printf("  job.mappers_lost         = %lld\n",
-              count("job.mappers_lost"));
-  std::printf("  job.mappers_rejoined     = %lld\n",
-              count("job.mappers_rejoined"));
-  std::printf("  job.speculative_attempts = %lld\n",
-              count("job.speculative_attempts"));
-  std::printf("  job.round_timeouts       = %lld\n",
-              count("job.round_timeouts"));
+  std::printf("  messages_dropped     = %zu\n",
+              job.network_faults.messages_dropped);
+  std::printf("  messages_corrupted   = %zu\n",
+              job.network_faults.messages_corrupted);
+  std::printf("  frames_rejected      = %zu (CRC catches)\n",
+              job.frames_rejected);
+  std::printf("  message_retries      = %zu\n", job.message_retries);
+  std::printf("  mappers_lost         = %zu\n", job.mappers_lost);
+  std::printf("  mappers_rejoined     = %zu\n", job.mappers_rejoined);
+  std::printf("  speculative_attempts = %zu\n", job.speculative_attempts);
+  std::printf("  round_timeouts       = %zu\n", job.round_timeouts);
   return 0;
 }

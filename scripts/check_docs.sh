@@ -3,8 +3,9 @@
 # markdown link, a backticked path to a file that does not exist, a
 # backticked symbol that appears nowhere in the code, or a backticked
 # snake_case identifier (two or more underscores, e.g. a function name)
-# that appears nowhere in the code outside `//` comments — and, in the other
-# direction, if the runtime emits a counter/gauge/histogram/series name
+# that appears nowhere in the code outside `//` comments, or a backticked
+# `Struct::member` whose struct is defined in src/ but does not declare that
+# member in its body — and, in the other direction, if the runtime emits a counter/gauge/histogram/series name
 # that docs/observability.md does not list. Run by verify.sh; cheap
 # enough to run on every commit.
 set -euo pipefail
@@ -47,6 +48,25 @@ for path in code_files:
     with open(path, errors="replace") as fh:
         code_only.extend(line.split("//", 1)[0] for line in fh)
 code_only = "\n".join(code_only)
+
+# Bodies of every `struct` defined in src/, comments stripped: a doc naming
+# `Struct::member` must name a member the struct still declares.
+STRUCT_RE = re.compile(r"\bstruct\s+([A-Za-z_][A-Za-z0-9_]*)\s*(?:final\s*)?"
+                       r"(?::[^{;()]*)?\{")
+struct_bodies = {}
+for root, _, files in os.walk("src"):
+    for f in files:
+        if not f.endswith((".h", ".cpp")):
+            continue
+        with open(os.path.join(root, f), errors="replace") as fh:
+            src = re.sub(r"/\*.*?\*/", " ", fh.read(), flags=re.S)
+        src = re.sub(r"//[^\n]*", "", src)
+        for m in STRUCT_RE.finditer(src):
+            depth, end = 1, m.end()
+            while depth and end < len(src):
+                depth += {"{": 1, "}": -1}.get(src[end], 0)
+                end += 1
+            struct_bodies.setdefault(m.group(1), []).append(src[m.end():end])
 
 # Runtime outputs and globs are not repo files; only these extensions are
 # expected to exist in the tree.
@@ -114,6 +134,7 @@ def symbol_exists(name):
 
 errors = []
 snake_checked = 0
+members_checked = 0
 for doc in DOCS:
     if not os.path.exists(doc):
         continue
@@ -137,9 +158,15 @@ for doc in DOCS:
             continue
         qm = QUALIFIED_RE.match(token)
         if qm:
-            leaf = token.rstrip("()").split("::")[-1]
+            parts = token.rstrip("()").split("::")
+            leaf = parts[-1]
             if not symbol_exists(leaf):
                 errors.append(f"{doc}: unknown symbol -> {token}")
+            elif parts[-2] in struct_bodies:
+                members_checked += 1
+                if not any(re.search(r"\b%s\b" % re.escape(leaf), body)
+                           for body in struct_bodies[parts[-2]]):
+                    errors.append(f"{doc}: {parts[-2]} has no member -> {token}")
             continue
         sm = SNAKE_RE.match(token)
         if sm:
@@ -209,5 +236,6 @@ if errors:
     print(f"check_docs: {len(errors)} problem(s)", file=sys.stderr)
     sys.exit(1)
 print(f"check_docs: OK ({len(DOCS)} docs, "
-      f"{snake_checked} snake_case identifiers)")
+      f"{snake_checked} snake_case identifiers, "
+      f"{members_checked} struct members)")
 PYEOF

@@ -206,10 +206,6 @@ DivergenceWatchdog::Config watchdog_config(const AdmmParams& params) {
   return config;
 }
 
-double unit_roll(crypto::SplitMix64& gen) {
-  return static_cast<double>(gen.next() >> 11) * 0x1.0p-53;
-}
-
 /// The policy an engine runs when the caller names none — the one place
 /// the bulk-synchronous vs bounded-staleness choice is made. Opting into
 /// async_quorum_fraction swaps the paper's loop for asynchronous rounds;
@@ -315,8 +311,9 @@ std::vector<Vector> ConsensusEngine::run_local_steps(
   std::vector<Vector> contributions(participants.size());
   // Local steps are independent within a round (each learner mutates only
   // its own state), so fanning them out is bit-identical to serial order.
-  const bool parallelize = params_.parallel_learners &&
-                           participants.size() > 1 &&
+  // Single-core hosts stay serial: concurrent QP solves only thrash the
+  // cache there.
+  const bool parallelize = participants.size() > 1 &&
                            std::thread::hardware_concurrency() > 1;
   // One attribution root per learner: the span (and everything the QP
   // solver counts underneath) bills to that party, serial or fanned out.
@@ -415,7 +412,8 @@ double ConsensusEngine::async_step_seconds(std::size_t round,
     crypto::SplitMix64 rolls(async_plan_->seed ^ 0xA5C0117EB017EDULL ^
                              (round * 0x9E3779B97F4A7C15ULL) ^
                              (party * 0xBF58476D1CE4E5B9ULL));
-    if (unit_roll(rolls) < faults.delay) seconds += faults.extra_delay_seconds;
+    if (rolls.next_double() < faults.delay)
+      seconds += faults.extra_delay_seconds;
   }
   return seconds;
 }

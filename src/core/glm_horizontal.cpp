@@ -20,13 +20,15 @@ double affine_dot(std::span<const double> x, const Vector& theta) {
 
 double sigmoid(double t) { return 1.0 / (1.0 + std::exp(-t)); }
 
+/// Newton stops early once the gradient norm is at most this.
+constexpr double kNewtonTolerance = 1e-10;
+
 /// One Newton solve for the (regularized, prox-augmented) logistic
 /// objective. `rho` = 0 recovers the centralized problem. Returns the
 /// final gradient norm.
 double newton_logistic(const linalg::Matrix& x, const Vector& y,
                        double lambda_eff, double rho, const Vector& v,
-                       std::size_t max_steps, double tolerance,
-                       Vector& theta) {
+                       std::size_t max_steps, Vector& theta) {
   const std::size_t k = x.cols();
   const std::size_t dim = k + 1;
   double gradient_norm = 0.0;
@@ -63,7 +65,7 @@ double newton_logistic(const linalg::Matrix& x, const Vector& y,
       for (std::size_t b = 0; b < a; ++b) hessian(a, b) = hessian(b, a);
 
     gradient_norm = linalg::norm(gradient);
-    if (gradient_norm <= tolerance) break;
+    if (gradient_norm <= kNewtonTolerance) break;
     // Guard the factorization against a flat Hessian corner.
     for (std::size_t j = 0; j < dim; ++j) hessian(j, j) += 1e-10;
     const Vector delta = linalg::Cholesky(hessian).solve(gradient);
@@ -74,17 +76,6 @@ double newton_logistic(const linalg::Matrix& x, const Vector& y,
 
 }  // namespace
 
-AdmmParams GlmParams::as_admm() const {
-  AdmmParams params;
-  params.rho = rho;
-  params.max_iterations = max_iterations;
-  params.convergence_tolerance = convergence_tolerance;
-  params.fixed_point_bits = fixed_point_bits;
-  params.mask_variant = mask_variant;
-  params.protocol_seed = protocol_seed;
-  return params;
-}
-
 RidgeHorizontalLearner::RidgeHorizontalLearner(linalg::Matrix x,
                                                Vector targets,
                                                std::size_t num_learners,
@@ -92,11 +83,11 @@ RidgeHorizontalLearner::RidgeHorizontalLearner(linalg::Matrix x,
     : x_(std::move(x)),
       targets_(std::move(targets)),
       features_(x_.cols()),
-      rho_(params.rho) {
+      rho_(params.admm.rho) {
   PPML_CHECK(num_learners >= 2, "RidgeHorizontalLearner: need M >= 2");
   PPML_CHECK(x_.rows() == targets_.size(),
              "RidgeHorizontalLearner: row/target mismatch");
-  PPML_CHECK(params.regularization > 0.0 && params.rho > 0.0,
+  PPML_CHECK(params.regularization > 0.0 && params.admm.rho > 0.0,
              "RidgeHorizontalLearner: lambda and rho must be positive");
   const std::size_t dim = features_ + 1;
 
@@ -151,9 +142,7 @@ LogisticHorizontalLearner::LogisticHorizontalLearner(data::Dataset shard,
       m_(num_learners),
       features_(shard_.features()),
       lambda_(params.regularization),
-      rho_(params.rho),
-      newton_steps_(params.newton_steps),
-      newton_tolerance_(params.newton_tolerance) {
+      rho_(params.admm.rho) {
   PPML_CHECK(num_learners >= 2, "LogisticHorizontalLearner: need M >= 2");
   PPML_CHECK(lambda_ > 0.0 && rho_ > 0.0,
              "LogisticHorizontalLearner: lambda and rho must be positive");
@@ -175,7 +164,7 @@ Vector LogisticHorizontalLearner::local_step(const Vector& broadcast) {
   }
   const Vector v = linalg::sub(z, gamma_);
   newton_logistic(shard_.x, shard_.y, lambda_ / static_cast<double>(m_),
-                  rho_, v, newton_steps_, newton_tolerance_, theta_);
+                  rho_, v, kGlmNewtonSteps, theta_);
   have_step_ = true;
   return linalg::add(theta_, gamma_);
 }
@@ -199,7 +188,7 @@ GlmHorizontalResult run_glm(
     result.trace.records.push_back(record);
   };
   InMemoryTransport transport;
-  result.run = ConsensusEngine(learners, coordinator, params.as_admm())
+  result.run = ConsensusEngine(learners, coordinator, params.admm)
                    .run(transport, observer);
   result.model = svm::LinearModel{coordinator.z(), coordinator.s()};
   return result;
@@ -264,7 +253,7 @@ svm::LinearModel centralized_logistic(const data::Dataset& dataset,
   Vector theta(dataset.features() + 1, 0.0);
   const Vector no_prox(dataset.features() + 1, 0.0);  // unused at rho = 0
   newton_logistic(dataset.x, dataset.y, regularization, 0.0, no_prox,
-                  newton_steps, 1e-10, theta);
+                  newton_steps, theta);
   return svm::LinearModel{Vector(theta.begin(), theta.end() - 1),
                           theta.back()};
 }

@@ -25,22 +25,14 @@ namespace ppml::core {
 
 struct GlmParams {
   double regularization = 1e-2;  ///< lambda of the global objective
-  double rho = 10.0;             ///< ADMM penalty
-  std::size_t max_iterations = 50;
-  double convergence_tolerance = 0.0;
-
-  // Logistic-specific.
-  std::size_t newton_steps = 5;     ///< inner Newton iterations per round
-  double newton_tolerance = 1e-10;  ///< early-exit on gradient norm
-
-  // Protocol (same knobs as AdmmParams).
-  unsigned fixed_point_bits = 20;
-  crypto::MaskVariant mask_variant = crypto::MaskVariant::kSeededMasks;
-  std::uint64_t protocol_seed = 0xC0FFEE;
-
-  /// View as the consensus-driver parameter block.
-  AdmmParams as_admm() const;
+  /// ADMM and protocol settings (rho, rounds, masking, topology, ...).
+  /// GLM defaults: rho = 10, 50 iterations; the rest as AdmmParams.
+  AdmmParams admm = {.rho = 10.0, .max_iterations = 50};
 };
+
+/// Newton iterations per round in the logistic learners (the horizontal
+/// local step and the vertical prox sweeps).
+inline constexpr std::size_t kGlmNewtonSteps = 5;
 
 /// Ridge learner: targets may be arbitrary reals (regression) or +/-1
 /// (least-squares classification).
@@ -79,8 +71,6 @@ class LogisticHorizontalLearner final : public ConsensusLearner {
   std::size_t features_;
   double lambda_;
   double rho_;
-  std::size_t newton_steps_;
-  double newton_tolerance_;
   Vector gamma_;
   Vector theta_;  // [w; b], warm start across rounds
   bool have_step_ = false;

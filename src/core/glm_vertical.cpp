@@ -35,7 +35,7 @@ Vector finish_round(const Vector& cbar, const Vector& zeta_new, double mm,
 RidgeVerticalCoordinator::RidgeVerticalCoordinator(Vector targets,
                                                    std::size_t num_learners,
                                                    const GlmParams& params)
-    : targets_(std::move(targets)), m_(num_learners), rho_(params.rho) {
+    : targets_(std::move(targets)), m_(num_learners), rho_(params.admm.rho) {
   PPML_CHECK(num_learners >= 2, "RidgeVerticalCoordinator: need M >= 2");
   PPML_CHECK(!targets_.empty(), "RidgeVerticalCoordinator: empty targets");
   PPML_CHECK(rho_ > 0.0, "RidgeVerticalCoordinator: rho must be positive");
@@ -73,8 +73,7 @@ LogisticVerticalCoordinator::LogisticVerticalCoordinator(
     Vector labels, std::size_t num_learners, const GlmParams& params)
     : y_(std::move(labels)),
       m_(num_learners),
-      rho_(params.rho),
-      newton_steps_(params.newton_steps) {
+      rho_(params.admm.rho) {
   PPML_CHECK(num_learners >= 2, "LogisticVerticalCoordinator: need M >= 2");
   PPML_CHECK(!y_.empty(), "LogisticVerticalCoordinator: empty labels");
   for (double label : y_)
@@ -99,7 +98,7 @@ Vector LogisticVerticalCoordinator::combine(const Vector& average) {
   Vector zeta_new = zeta_;  // warm start from the previous round
   double b = b_;
   const auto sigma = [](double t) { return 1.0 / (1.0 + std::exp(-t)); };
-  for (std::size_t sweep = 0; sweep < newton_steps_; ++sweep) {
+  for (std::size_t sweep = 0; sweep < kGlmNewtonSteps; ++sweep) {
     // zeta_i given b (independent 1-D problems, 2 Newton steps each).
     for (std::size_t i = 0; i < n; ++i) {
       for (int step = 0; step < 2; ++step) {
@@ -135,10 +134,9 @@ GlmVerticalResult run_vertical_glm(const data::VerticalPartition& partition,
   const std::size_t m = partition.learners();
   std::vector<std::shared_ptr<ConsensusLearner>> learners;
   std::vector<std::shared_ptr<LinearVerticalLearner>> typed;
-  AdmmParams admm = params.as_admm();
   for (std::size_t i = 0; i < m; ++i) {
-    auto learner =
-        std::make_shared<LinearVerticalLearner>(partition.blocks[i], admm);
+    auto learner = std::make_shared<LinearVerticalLearner>(partition.blocks[i],
+                                                           params.admm);
     typed.push_back(learner);
     learners.push_back(learner);
   }
@@ -160,8 +158,8 @@ GlmVerticalResult run_vertical_glm(const data::VerticalPartition& partition,
   };
 
   InMemoryTransport transport;
-  result.run =
-      ConsensusEngine(learners, coordinator, admm).run(transport, observer);
+  result.run = ConsensusEngine(learners, coordinator, params.admm)
+                   .run(transport, observer);
   result.model.feature_indices = partition.feature_indices;
   result.model.b = bias();
   for (const auto& learner : typed)

@@ -57,7 +57,6 @@ class LogisticVerticalCoordinator final : public ConsensusCoordinator {
   Vector y_;
   std::size_t m_;
   double rho_;
-  std::size_t newton_steps_;
   Vector u_;
   Vector zeta_;
   double b_ = 0.0;

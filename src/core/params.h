@@ -69,12 +69,6 @@ struct AdmmParams {
 
   std::uint64_t seed = 7;  ///< landmark sampling etc.
 
-  /// Run learners' local steps on parallel threads in the in-memory driver
-  /// (results are bit-identical either way: contributions are aggregated
-  /// in learner order). Ignored on single-core hosts, where concurrent QP
-  /// solves only thrash the cache.
-  bool parallel_learners = true;
-
   /// Residual watchdog (core::DivergenceWatchdog): flag a run whose ADMM
   /// residuals diverge or stall over a `watchdog_window`-round window.
   /// 0 disables (the default — purely observational; trips only report,

@@ -95,7 +95,7 @@ void PredictionServer::init(const AdmmParams& protocol) {
                                                 model.train_blocks[m]);
             std::copy(krow.begin(), krow.end(), out.begin());
           },
-          config_.cache_bytes, row_len));
+          /*budget_bytes=*/0, row_len));
     }
   }
 

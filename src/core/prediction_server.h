@@ -69,10 +69,9 @@ struct ServingConfig {
   // --- kernel-row reuse (kernel models only) ------------------------------
   /// Distinct query points whose kernel rows may be cached across batches
   /// (the pool dimension of the per-learner `qp::KernelCache`). 0 disables
-  /// caching; every query then re-evaluates its kernel rows.
+  /// caching; every query then re-evaluates its kernel rows. Every pooled
+  /// row fits: the per-learner row cache has no byte budget.
   std::size_t cache_slots = 0;
-  /// Per-learner row-cache byte budget (0 = every pooled row fits).
-  std::size_t cache_bytes = 0;
 };
 
 /// What submit() did with a query.

@@ -20,6 +20,10 @@ std::uint64_t SplitMix64::next() {
   return z ^ (z >> 31);
 }
 
+double SplitMix64::next_double() {
+  return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   SplitMix64 seeder(seed);
   for (auto& word : state_) word = seeder.next();

@@ -18,6 +18,8 @@ class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
   std::uint64_t next();
+  /// Uniform double in [0, 1) from the top 53 bits of next().
+  double next_double();
 
  private:
   std::uint64_t state_;

@@ -33,8 +33,8 @@
 // Forcing a level pins all of them.
 //
 // Pinning: set PPML_FORCE_ISA=scalar|avx2 in the environment, or call
-// force_isa() (svm::TrainOptions::force_isa routes here). The selected level
-// is logged once to stderr so perf numbers are attributable to an ISA.
+// force_isa(). The selected level is logged once to stderr so perf numbers
+// are attributable to an ISA.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "mapreduce/blockstore.h"
-#include "mapreduce/counters.h"
 #include "mapreduce/executor.h"
 #include "mapreduce/network.h"
 
@@ -44,7 +43,6 @@ class Cluster {
   Network& network() noexcept { return network_; }
   BlockStore& storage() noexcept { return storage_; }
   Executor& executor() noexcept { return *executor_; }
-  Counters& counters() noexcept { return counters_; }
 
   /// Simulated compute-speed multiplier of `node` (1.0 when unspecified).
   double node_speed_factor(NodeId node) const;
@@ -64,7 +62,6 @@ class Cluster {
   Network network_;
   BlockStore storage_;
   std::unique_ptr<Executor> executor_;
-  Counters counters_;
 };
 
 }  // namespace ppml::mapreduce

@@ -11,6 +11,14 @@ namespace ppml::mapreduce {
 
 namespace {
 
+/// Driver-level re-sends of a dropped/corrupted frame before the target
+/// (or sender) is declared lost.
+constexpr std::size_t kMaxMessageRetries = 4;
+/// A job never continues with fewer live mappers than this.
+constexpr std::size_t kMinLiveMappers = 2;
+/// Fractional budget extension granted by the single deadline retry.
+constexpr double kDeadlineRetryBackoff = 0.5;
+
 /// Closes a driver phase span with bytes/messages-moved annotations and
 /// the matching net.* counters. Inert (and cost-free beyond two atomic
 /// loads) when no observability session is installed.
@@ -66,8 +74,6 @@ IterativeJob::IterativeJob(Cluster& cluster, JobConfig config)
   PPML_CHECK(config_.task_failure_probability >= 0.0 &&
                  config_.task_failure_probability < 1.0,
              "IterativeJob: failure probability must be in [0, 1)");
-  PPML_CHECK(config_.min_live_mappers >= 1,
-             "IterativeJob: min_live_mappers must be >= 1");
   PPML_CHECK(config_.speculation_factor == 0.0 ||
                  config_.speculation_factor >= 1.0,
              "IterativeJob: speculation_factor must be 0 (off) or >= 1");
@@ -78,8 +84,6 @@ IterativeJob::IterativeJob(Cluster& cluster, JobConfig config)
                  config_.tolerate_mapper_loss,
              "IterativeJob: round_deadline_factor requires "
              "tolerate_mapper_loss (a late mapper is a post-map loss)");
-  PPML_CHECK(config_.deadline_retry_backoff >= 0.0,
-             "IterativeJob: deadline_retry_backoff must be >= 0");
 }
 
 void IterativeJob::add_mapper(std::shared_ptr<IterativeMapper> mapper,
@@ -115,8 +119,7 @@ NodeId IterativeJob::place_mapper(std::size_t index, std::size_t round,
     if (config_.task_failure_probability > 0.0) {
       crypto::SplitMix64 coin(config_.failure_seed ^ (round * 7919) ^
                               (index * 104729) ^ (attempt * 1299709));
-      const double roll = static_cast<double>(coin.next() >> 11) * 0x1.0p-53;
-      if (roll < config_.task_failure_probability) {
+      if (coin.next_double() < config_.task_failure_probability) {
         ++stats.task_retries;
         continue;  // placement failed, try another replica
       }
@@ -146,10 +149,10 @@ std::vector<std::size_t> IterativeJob::live_mappers() const {
 
 void IterativeJob::check_quorum() const {
   const std::size_t alive = live_mappers().size();
-  if (alive < config_.min_live_mappers) {
+  if (alive < kMinLiveMappers) {
     throw JobError("only " + std::to_string(alive) +
-                   " live mappers left (min_live_mappers = " +
-                   std::to_string(config_.min_live_mappers) + ")");
+                   " live mappers left (at least " +
+                   std::to_string(kMinLiveMappers) + " needed)");
   }
 }
 
@@ -182,7 +185,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
   // one pending key's frame with crc_frame): send everything
   // still pending, close the phase, drain the destinations, and let `accept`
   // decide (from the decoded envelope) which pending entries arrived intact.
-  // Re-send survivors of drop/corruption up to max_message_retries times.
+  // Re-send survivors of drop/corruption up to kMaxMessageRetries times.
   struct Pending {
     std::size_t key;  ///< caller-defined identity (mapper index, outbox slot)
     NodeId from = 0;
@@ -202,14 +205,10 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
     std::size_t max_key = 0;
     for (const Pending& p : pending) max_key = std::max(max_key, p.key);
     std::vector<bool> done(max_key + 1, false);
-    for (std::size_t attempt = 0; attempt <= config_.max_message_retries;
+    for (std::size_t attempt = 0; attempt <= kMaxMessageRetries;
          ++attempt) {
       if (pending.empty()) break;
-      if (attempt > 0) {
-        stats.message_retries += pending.size();
-        cluster_.counters().increment(
-            "job.message_retries", static_cast<std::int64_t>(pending.size()));
-      }
+      if (attempt > 0) stats.message_retries += pending.size();
       for (const Pending& p : pending) {
         // The sender's party pays for the wire: Network::send charges
         // net.bytes/net.messages to the ambient PartyScope. Each (re)send
@@ -280,7 +279,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
     // the job. Everyone moves to a fresh key epoch — the returning party
     // must not reuse pairwise secrets the reducer reconstructed while it
     // was gone (docs/fault_tolerance.md).
-    if (config_.tolerate_mapper_loss && config_.allow_rejoin) {
+    if (config_.tolerate_mapper_loss) {
       bool any_rejoin = false;
       for (std::size_t i = 0; i < m; ++i) {
         if (live_[i]) continue;
@@ -353,7 +352,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
         if (!config_.tolerate_mapper_loss) {
           throw JobError("mapper " + std::to_string(i) +
                          ": broadcast undeliverable after " +
-                         std::to_string(config_.max_message_retries) +
+                         std::to_string(kMaxMessageRetries) +
                          " retries");
         }
         premap_lost.push_back(i);
@@ -468,7 +467,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
     // round_deadline_factor set, the reducer stops waiting once
     // factor x the (lower) median live node's map time has elapsed. A
     // mapper outside the budget — even after its speculative backup — gets
-    // ONE retry extension of (1 + deadline_retry_backoff) x the budget;
+    // ONE retry extension of (1 + kDeadlineRetryBackoff) x the budget;
     // still outside means its contribution will never be consumed this
     // round. Like speculation, the verdict is a pure function of the
     // configured node speed factors, so it is reproducible run to run;
@@ -492,7 +491,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
       if (any_late) {
         // The single bounded retry: everyone gets the extended budget.
         ++stats.deadline_retry_waits;
-        deadline_time_factor *= 1.0 + config_.deadline_retry_backoff;
+        deadline_time_factor *= 1.0 + kDeadlineRetryBackoff;
       }
       for (std::size_t i : active) {
         if (effective_factor(i) <= deadline_time_factor * median_f) continue;
@@ -695,40 +694,6 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
   stats.network_faults.messages_partitioned =
       faults_now.messages_partitioned - faults_before.messages_partitioned;
   stats.mapper_states = states_;
-
-  Counters& counters = cluster_.counters();
-  counters.increment("job.rounds", static_cast<std::int64_t>(stats.rounds));
-  counters.increment("job.map_task_attempts",
-                     static_cast<std::int64_t>(stats.map_task_attempts));
-  counters.increment("job.task_retries",
-                     static_cast<std::int64_t>(stats.task_retries));
-  counters.increment("job.mappers_lost",
-                     static_cast<std::int64_t>(stats.mappers_lost));
-  counters.increment("job.mappers_rejoined",
-                     static_cast<std::int64_t>(stats.mappers_rejoined));
-  counters.increment("job.speculative_attempts",
-                     static_cast<std::int64_t>(stats.speculative_attempts));
-  counters.increment("job.round_timeouts",
-                     static_cast<std::int64_t>(stats.round_timeouts));
-  counters.increment("job.deadline_misses",
-                     static_cast<std::int64_t>(stats.deadline_misses));
-  counters.increment("job.frames_rejected",
-                     static_cast<std::int64_t>(stats.frames_rejected));
-  counters.increment(
-      "net.messages_dropped",
-      static_cast<std::int64_t>(stats.network_faults.messages_dropped));
-  counters.increment(
-      "net.messages_duplicated",
-      static_cast<std::int64_t>(stats.network_faults.messages_duplicated));
-  counters.increment(
-      "net.messages_corrupted",
-      static_cast<std::int64_t>(stats.network_faults.messages_corrupted));
-  counters.increment(
-      "net.messages_delayed",
-      static_cast<std::int64_t>(stats.network_faults.messages_delayed));
-  counters.increment(
-      "net.messages_partitioned",
-      static_cast<std::int64_t>(stats.network_faults.messages_partitioned));
   return stats;
 }
 

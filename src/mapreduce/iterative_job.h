@@ -16,7 +16,7 @@
 //
 // Fault tolerance (docs/fault_tolerance.md):
 //   - Every driver message is CRC-framed; dropped or corrupted frames are
-//     detected and re-sent up to max_message_retries times.
+//     detected and re-sent up to 4 times.
 //   - With tolerate_mapper_loss, a mapper whose data is gone or whose
 //     messages cannot be delivered is marked permanently DROPPED and the
 //     job continues with the survivors (the reducer is told, so protocol
@@ -114,16 +114,10 @@ struct JobConfig {
 
   /// Graceful degradation: instead of throwing JobError when a mapper's
   /// data is lost or its messages are undeliverable, drop the mapper and
-  /// continue with the survivors (notifying the reducer and peers).
-  bool tolerate_mapper_loss = false;
-  /// With tolerate_mapper_loss: re-admit a dropped mapper once its home
+  /// continue with the survivors (notifying the reducer and peers) as long
+  /// as at least 2 remain. A dropped mapper is re-admitted once its home
   /// block is readable again (fresh key epoch for everyone).
-  bool allow_rejoin = true;
-  /// Never continue with fewer live mappers than this.
-  std::size_t min_live_mappers = 2;
-  /// Driver-level re-sends of a dropped/corrupted frame before the target
-  /// (or sender) is declared lost.
-  std::size_t max_message_retries = 4;
+  bool tolerate_mapper_loss = false;
   /// 0 = off. Otherwise must be >= 1: a map attempt on a node slower than
   /// factor x the median live node gets a speculative backup attempt on the
   /// fastest other live replica of its block; the simulated round clock
@@ -132,17 +126,14 @@ struct JobConfig {
   /// 0 = block forever on contributions (the synchronous barrier).
   /// Otherwise must be >= 1: the reducer waits at most factor x the (lower)
   /// median live node's map time for contributions each round. A mapper
-  /// outside the budget gets ONE retry extension of
-  /// (1 + deadline_retry_backoff) x the budget; still late means it is
-  /// treated as a post-map loss (its masks are already woven in, so the
-  /// dropout-recovery path corrects the sum) and may rejoin later under a
-  /// fresh epoch. Decisions are pure functions of configured node speed
-  /// factors — never wall time — so they are reproducible run to run.
-  /// Requires tolerate_mapper_loss. Set by the async consensus drivers from
-  /// AdmmParams::async_round_deadline.
+  /// outside the budget gets ONE retry extension to 1.5x the budget; still
+  /// late means it is treated as a post-map loss (its masks are already
+  /// woven in, so the dropout-recovery path corrects the sum) and may rejoin
+  /// later under a fresh epoch. Decisions are pure functions of configured
+  /// node speed factors — never wall time — so they are reproducible run to
+  /// run. Requires tolerate_mapper_loss. Set by the async consensus drivers
+  /// from AdmmParams::async_round_deadline.
   double round_deadline_factor = 0.0;
-  /// Fractional budget extension granted by the single deadline retry.
-  double deadline_retry_backoff = 0.5;
 };
 
 /// Liveness state machine of one mapper (docs/fault_tolerance.md):
@@ -163,7 +154,7 @@ struct JobStats {
   bool converged = false;
 
   // Fault-tolerance accounting.
-  std::size_t mappers_lost = 0;       ///< permanent drops (job.mappers_lost)
+  std::size_t mappers_lost = 0;       ///< permanent drops
   std::size_t mappers_rejoined = 0;
   std::size_t speculative_attempts = 0;
   std::size_t round_timeouts = 0;     ///< rounds where a straggler blew the deadline

@@ -21,10 +21,6 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-double unit_roll(crypto::SplitMix64& gen) {
-  return static_cast<double>(gen.next() >> 11) * 0x1.0p-53;
-}
-
 // Injected faults land in the flight recorder so a chaos postmortem shows
 // *which* message died, on which channel, carrying which flow id.
 void record_fault(const char* kind, const Message& message) {
@@ -148,19 +144,19 @@ void Network::send(Message message) {
                                (message.from * 0xBF58476D1CE4E5B9ULL) ^
                                (message.to * 0x94D049BB133111EBULL) ^
                                (sequence * 0xD6E8FEB86659FD93ULL));
-      if (unit_roll(rolls) < faults.drop) {
+      if (rolls.next_double() < faults.drop) {
         ++fault_stats_.messages_dropped;
         record_fault("drop", message);
         return;  // latency + stats already accrued: the bytes left the NIC
       }
-      if (unit_roll(rolls) < faults.corrupt && !message.payload.empty()) {
+      if (rolls.next_double() < faults.corrupt && !message.payload.empty()) {
         ++fault_stats_.messages_corrupted;
         record_fault("corrupt", message);
         const std::uint64_t where = rolls.next();
         message.payload[where % message.payload.size()] ^= 0x5A;
         message.payload[(where >> 32) % message.payload.size()] ^= 0xA5;
       }
-      if (unit_roll(rolls) < faults.duplicate) {
+      if (rolls.next_double() < faults.duplicate) {
         ++fault_stats_.messages_duplicated;
         record_fault("duplicate", message);
         copies = 2;
@@ -174,7 +170,7 @@ void Network::send(Message message) {
         phase_send_seconds_[message.from] +=
             latency_.cost(message.payload.size());
       }
-      if (unit_roll(rolls) < faults.delay) {
+      if (rolls.next_double() < faults.delay) {
         ++fault_stats_.messages_delayed;
         record_fault("delay", message);
         phase_send_seconds_[message.from] += faults.extra_delay_seconds;

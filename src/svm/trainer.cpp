@@ -82,7 +82,6 @@ LinearModel train_linear_svm(const data::Dataset& dataset,
   PPML_CHECK(dataset.size() >= 2 && dataset.features() >= 1,
              "train_linear_svm: need >= 2 rows and >= 1 feature");
   PPML_CHECK(options.c > 0.0, "train_linear_svm: C must be positive");
-  if (options.force_isa) linalg::force_isa(*options.force_isa);
   const Matrix k = linalg::gram_a_at(dataset.x);
   const qp::Result result = solve_dual(k, dataset.y, options);
 
@@ -109,7 +108,6 @@ KernelModel train_kernel_svm(const data::Dataset& dataset,
   PPML_CHECK(dataset.size() >= 2 && dataset.features() >= 1,
              "train_kernel_svm: need >= 2 rows and >= 1 feature");
   PPML_CHECK(options.c > 0.0, "train_kernel_svm: C must be positive");
-  if (options.force_isa) linalg::force_isa(*options.force_isa);
   // Never materialize the n x n Gram: SMO pulls rows of Q_ij = y_i y_j K_ij
   // through an LRU cache. The row fill rides the SIMD-dispatched
   // kernel_row, then applies the same y_i*y_j scaling as the dense builder

@@ -7,10 +7,7 @@
 // the paper cites approvingly).
 #pragma once
 
-#include <optional>
-
 #include "data/dataset.h"
-#include "linalg/microkernel.h"
 #include "svm/model.h"
 
 namespace ppml::svm {
@@ -25,12 +22,6 @@ struct TrainOptions {
   /// for any budget — only row re-evaluation cost changes; see
   /// docs/performance.md.
   std::size_t kernel_cache_bytes = 64ull << 20;
-  /// Pin the linalg microkernel ISA level for this training run (forwarded
-  /// to linalg::force_isa before solving; sticky for the process). Results
-  /// are bit-identical across levels — this exists so perf measurements are
-  /// attributable. nullopt = leave the dispatcher alone (cpuid probe or
-  /// PPML_FORCE_ISA env decide).
-  std::optional<linalg::Isa> force_isa;
 };
 
 struct TrainDiagnostics {

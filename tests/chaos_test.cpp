@@ -118,6 +118,7 @@ TEST(Chaos, SurvivesLossyFabricAndPermanentLearnerLoss) {
   ASSERT_EQ(job.mapper_states.size(), 5u);
   EXPECT_EQ(job.mapper_states[2], MapperState::kDropped);
   EXPECT_GT(job.network_faults.messages_dropped, 0u);
+  EXPECT_GT(job.network_faults.messages_corrupted, 0u);
   EXPECT_GT(job.message_retries, 0u);
   EXPECT_GT(job.frames_rejected, 0u);  // corrupted frames caught by CRC
 
@@ -132,26 +133,6 @@ TEST(Chaos, SurvivesLossyFabricAndPermanentLearnerLoss) {
   // Degraded, not destroyed: within 2 accuracy points of the clean run.
   const double chaos_acc = test_accuracy(chaos.model, split);
   EXPECT_GE(chaos_acc, baseline_acc - 0.02);
-}
-
-TEST(Chaos, FaultCountersReachTheCounterRegistry) {
-  const auto split = acceptance_split();
-  AdmmParams params;
-  params.max_iterations = 40;
-  const auto partition = data::partition_horizontally(split.train, 5, 7);
-  mapreduce::ClusterConfig config = cluster_config(6);
-  config.fault_plan = acceptance_plan();
-  mapreduce::Cluster cluster(config);
-  mapreduce::JobConfig job_config;
-  job_config.tolerate_mapper_loss = true;
-  train_linear_horizontal_on_cluster(cluster, partition, params, job_config);
-
-  const auto& counters = cluster.counters();
-  EXPECT_EQ(counters.value("job.mappers_lost"), 1);
-  EXPECT_GT(counters.value("net.messages_dropped"), 0);
-  EXPECT_GT(counters.value("net.messages_corrupted"), 0);
-  EXPECT_GT(counters.value("job.message_retries"), 0);
-  EXPECT_GT(counters.value("job.frames_rejected"), 0);
 }
 
 TEST(Chaos, ChaosRunsAreDeterministic) {

@@ -641,7 +641,9 @@ TEST(SecureSum, PairwiseSeedsSymmetric) {
   const auto seeds = agree_pairwise_seeds(5, 42);
   for (std::size_t i = 0; i < 5; ++i)
     for (std::size_t j = 0; j < 5; ++j)
-      if (i != j) EXPECT_EQ(seeds[i][j], seeds[j][i]);
+      if (i != j) {
+        EXPECT_EQ(seeds[i][j], seeds[j][i]);
+      }
 }
 
 /// FNV-1a over the matrix words, row-major, each word little-endian.

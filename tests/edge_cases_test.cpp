@@ -149,8 +149,7 @@ TEST(GlmOnCluster, LogisticRunsThroughMapReduceAdapter) {
     shards.push_back(core::serialize_horizontal_shard(shard));
 
   core::GlmParams glm;
-  glm.max_iterations = 40;
-  const core::AdmmParams admm = glm.as_admm();
+  glm.admm.max_iterations = 40;
   core::AveragingCoordinator coordinator(split.train.features() + 1);
   const core::GlmParams captured = glm;
   const core::LearnerFactory factory = [captured](
@@ -163,7 +162,7 @@ TEST(GlmOnCluster, LogisticRunsThroughMapReduceAdapter) {
   mapreduce::ClusterConfig config;
   config.num_nodes = 4;
   mapreduce::Cluster cluster(config);
-  core::ConsensusEngine engine(3, coordinator, admm);
+  core::ConsensusEngine engine(3, coordinator, glm.admm);
   core::FabricTransport transport(cluster, shards, factory,
                                   /*reducer_node=*/3);
   engine.run(transport);
@@ -180,7 +179,7 @@ TEST(GlmOnCluster, MatchesInMemoryLogistic) {
   scaler.fit_transform(split);
   const auto partition = data::partition_horizontally(split.train, 3, 7);
   core::GlmParams glm;
-  glm.max_iterations = 15;
+  glm.admm.max_iterations = 15;
   const auto reference = core::train_logistic_horizontal(partition, glm);
 
   std::vector<mapreduce::Bytes> shards;
@@ -197,7 +196,7 @@ TEST(GlmOnCluster, MatchesInMemoryLogistic) {
   mapreduce::ClusterConfig config;
   config.num_nodes = 4;
   mapreduce::Cluster cluster(config);
-  core::ConsensusEngine engine(3, coordinator, glm.as_admm());
+  core::ConsensusEngine engine(3, coordinator, glm.admm);
   core::FabricTransport transport(cluster, shards, factory,
                                   /*reducer_node=*/3);
   engine.run(transport);

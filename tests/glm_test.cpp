@@ -2,6 +2,7 @@
 // partial-participation consensus driver.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "core/consensus_engine.h"
@@ -12,6 +13,7 @@
 #include "data/generators.h"
 #include "data/standardize.h"
 #include "linalg/blas.h"
+#include "obs/obs.h"
 #include "svm/metrics.h"
 
 namespace ppml::core {
@@ -47,7 +49,7 @@ TEST(Ridge, DistributedConvergesToCentralized) {
   const auto split = cancer_split();
   const auto partition = data::partition_horizontally(split.train, 4, 7);
   GlmParams params;
-  params.max_iterations = 80;
+  params.admm.max_iterations = 80;
   const auto distributed = train_ridge_horizontal(partition, params,
                                                   &split.test);
   const auto central = centralized_ridge(split.train, params.regularization);
@@ -60,7 +62,7 @@ TEST(Ridge, ClassifiesWell) {
   const auto split = cancer_split();
   const auto partition = data::partition_horizontally(split.train, 4, 7);
   GlmParams params;
-  params.max_iterations = 60;
+  params.admm.max_iterations = 60;
   const auto result = train_ridge_horizontal(partition, params, &split.test);
   EXPECT_GE(result.trace.final_accuracy(), 0.92);
 }
@@ -74,6 +76,35 @@ TEST(Ridge, RejectsBadParams) {
   EXPECT_THROW(RidgeHorizontalLearner(linalg::Matrix(4, 2), Vector(3, 1.0),
                                       2, GlmParams{}),
                InvalidArgument);
+}
+
+TEST(Ridge, HonoursTheAggregationTopology) {
+  // GLM runs take their protocol settings from AdmmParams, topology
+  // included: the grouped ring masks fewer pairs and decodes the same sums.
+  const auto split = cancer_split();
+  const auto partition = data::partition_horizontally(split.train, 9, 7);
+  const auto run = [&](crypto::AggregationTopology topology) {
+    GlmParams params;
+    params.admm.max_iterations = 10;
+    params.admm.agg_topology = topology;
+    obs::MetricsRegistry metrics;
+    obs::Session session(nullptr, &metrics);
+    const auto result = train_ridge_horizontal(partition, params);
+    Vector theta = result.model.w;
+    theta.push_back(result.model.b);
+    return std::make_pair(theta, metrics.counter("crypto.masks_generated"));
+  };
+  const auto [pairwise, pairwise_masks] =
+      run(crypto::AggregationTopology::kPairwise);
+  const auto [grouped, grouped_masks] =
+      run(crypto::AggregationTopology::kGroupedRing);
+  ASSERT_EQ(grouped.size(), pairwise.size());
+  for (std::size_t j = 0; j < pairwise.size(); ++j)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(grouped[j]),
+              std::bit_cast<std::uint64_t>(pairwise[j]))
+        << j;
+  EXPECT_GT(pairwise_masks, 0);
+  EXPECT_LT(grouped_masks, pairwise_masks);
 }
 
 // -------------------------------------------------------------- logistic
@@ -101,7 +132,7 @@ TEST(Logistic, DistributedConvergesToCentralized) {
   const auto split = cancer_split();
   const auto partition = data::partition_horizontally(split.train, 4, 7);
   GlmParams params;
-  params.max_iterations = 80;
+  params.admm.max_iterations = 80;
   const auto distributed =
       train_logistic_horizontal(partition, params, &split.test);
   const auto central =
@@ -122,7 +153,7 @@ TEST(Logistic, AccuracyComparableToSvm) {
   const auto split = cancer_split();
   const auto partition = data::partition_horizontally(split.train, 4, 7);
   GlmParams params;
-  params.max_iterations = 60;
+  params.admm.max_iterations = 60;
   const auto logistic =
       train_logistic_horizontal(partition, params, &split.test);
   EXPECT_GE(logistic.trace.final_accuracy(), 0.92);
@@ -142,8 +173,8 @@ TEST(RidgeVertical, LearnsAndConverges) {
   const auto split = cancer_split();
   const auto partition = data::partition_vertically(split.train, 4, 7);
   GlmParams params;
-  params.max_iterations = 60;
-  params.rho = 10.0;
+  params.admm.max_iterations = 60;
+  params.admm.rho = 10.0;
   const auto result = train_ridge_vertical(partition, params, &split.test);
   EXPECT_GE(result.trace.final_accuracy(), 0.93);
   EXPECT_LT(result.trace.final_delta_sq(),
@@ -155,11 +186,11 @@ TEST(RidgeVertical, ProxClosedFormIsStationary) {
   // conditions of 1/2 sum (t - zeta - b)^2 + kappa/2 ||zeta - q||^2.
   const Vector targets{1.0, -1.0, 1.0, 1.0};
   GlmParams params;
-  params.rho = 8.0;
+  params.admm.rho = 8.0;
   RidgeVerticalCoordinator coordinator(targets, 2, params);
   const Vector cbar{0.2, -0.4, 0.1, 0.3};
   coordinator.combine(cbar);
-  const double kappa = params.rho / 2.0;
+  const double kappa = params.admm.rho / 2.0;
   double db = 0.0;
   for (std::size_t i = 0; i < 4; ++i) {
     const double q = 2.0 * cbar[i];  // u was zero on the first round
@@ -175,8 +206,8 @@ TEST(LogisticVertical, LearnsOnCancer) {
   const auto split = cancer_split();
   const auto partition = data::partition_vertically(split.train, 4, 7);
   GlmParams params;
-  params.max_iterations = 60;
-  params.rho = 10.0;
+  params.admm.max_iterations = 60;
+  params.admm.rho = 10.0;
   const auto result = train_logistic_vertical(partition, params, &split.test);
   EXPECT_GE(result.trace.final_accuracy(), 0.93);
 }

@@ -957,8 +957,6 @@ TEST(IterativeJob, CrashedMapperRejoinsOnReplica) {
   EXPECT_EQ(stats.mappers_lost, 1u);
   EXPECT_EQ(stats.mappers_rejoined, 1u);
   EXPECT_EQ(stats.mapper_states[0], MapperState::kRejoined);
-  EXPECT_EQ(cluster.counters().value("job.mappers_lost"), 1);
-  EXPECT_EQ(cluster.counters().value("job.mappers_rejoined"), 1);
 }
 
 TEST(IterativeJob, MapperLossWithoutToleranceAborts) {
@@ -1059,23 +1057,6 @@ TEST(IterativeJob, SpeculativeExecutionCapsStragglers) {
             without.simulated_compute_seconds);
 }
 
-TEST(Counters, IncrementValueSnapshotMerge) {
-  Counters counters;
-  counters.increment("a");
-  counters.increment("a", 4);
-  counters.increment("b", -2);
-  EXPECT_EQ(counters.value("a"), 5);
-  EXPECT_EQ(counters.value("b"), -2);
-  EXPECT_EQ(counters.value("missing"), 0);
-  counters.merge({{"a", 10}, {"c", 1}});
-  EXPECT_EQ(counters.value("a"), 15);
-  EXPECT_EQ(counters.value("c"), 1);
-  const auto snapshot = counters.snapshot();
-  EXPECT_EQ(snapshot.size(), 3u);
-  counters.reset();
-  EXPECT_EQ(counters.value("a"), 0);
-}
-
 TEST(IterativeJob, RecordsSystemCounters) {
   Cluster cluster(make_config(3));
   JobConfig config;
@@ -1086,9 +1067,9 @@ TEST(IterativeJob, RecordsSystemCounters) {
     job.add_mapper(std::make_shared<ConstantMapper>(1, i, 2), block);
   }
   job.set_reducer(std::make_shared<SummingReducer>(999), 2);
-  job.run({});
-  EXPECT_EQ(cluster.counters().value("job.rounds"), 4);
-  EXPECT_EQ(cluster.counters().value("job.map_task_attempts"), 8);
+  const JobStats stats = job.run({});
+  EXPECT_EQ(stats.rounds, 4u);
+  EXPECT_EQ(stats.map_task_attempts, 8u);
 }
 
 TEST(IterativeJob, StragglerDominatesSimulatedComputeTime) {
