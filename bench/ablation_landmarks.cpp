@@ -16,7 +16,7 @@ int main() {
   std::printf("%-8s %5s %10s %12s\n", "dataset", "l", "accuracy",
               "final_dz2");
 
-  for (const std::string& name : {"cancer", "ocr"}) {
+  for (const std::string name : {"cancer", "ocr"}) {
     const std::size_t cap = name == "ocr" ? 2400 : 0;
     const auto dataset = bench::make_bench_dataset(name, cap);
     const auto partition =

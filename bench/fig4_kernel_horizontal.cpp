@@ -29,7 +29,7 @@ int main() {
   std::printf("# landmarks l=%zu (reduced consensus space, paper §IV-B)\n",
               params.landmarks);
 
-  for (const std::string& name : {"cancer", "higgs", "ocr"}) {
+  for (const std::string name : {"cancer", "higgs", "ocr"}) {
     // Per-mapper dual Grams are (N/8)^2 and dominate the cost; higgs/ocr
     // are capped (documented in EXPERIMENTS.md; shapes unchanged).
     const std::size_t cap =

@@ -31,7 +31,7 @@ int main() {
   report.set("config", std::move(config));
   obs::JsonValue datasets = obs::JsonValue::array();
 
-  for (const std::string& name : {"cancer", "higgs", "ocr"}) {
+  for (const char* name : {"cancer", "higgs", "ocr"}) {
     const auto dataset = bench::make_bench_dataset(name);
     const auto partition =
         data::partition_horizontally(dataset.split.train, 4, 7);

@@ -11,7 +11,7 @@ int main() {
   bench::print_header("Fig. 4(c)/(g)", "linear SVM, vertical partition",
                       params);
 
-  for (const std::string& name : {"cancer", "higgs", "ocr"}) {
+  for (const char* name : {"cancer", "higgs", "ocr"}) {
     const auto dataset = bench::make_bench_dataset(name);
     const auto partition =
         data::partition_vertically(dataset.split.train, 4, 7);

@@ -17,7 +17,7 @@ int main() {
               "60 rounds\n");
   std::printf("%-8s %10s %12s %10s\n", "dataset", "svm", "logistic", "ridge");
 
-  for (const std::string& name : {"cancer", "higgs", "ocr"}) {
+  for (const std::string name : {"cancer", "higgs", "ocr"}) {
     const std::size_t cap = name == "higgs" ? 6000 : 0;
     const auto dataset = bench::make_bench_dataset(name, cap);
     const auto partition =

@@ -3,8 +3,8 @@
 // datasets.
 //
 //   ppml_cli --scheme linear-h --data cancer --learners 4 --iterations 60
-//   ppml_cli --scheme kernel-h --data my.csv --kernel rbf --gamma 0.1 \
-//            --landmarks 60 --save model.txt
+//   ppml_cli --scheme kernel-h --data my.csv --gamma 0.1 --landmarks 60
+//   ppml_cli --scheme kernel-h --data my.csv --kernel poly --save model.txt
 //   ppml_cli --scheme linear-v --data higgs --cluster   # simulated cluster
 //   ppml_cli --scheme kernel-v --data cancer --serve 20000 --serve-batch 32
 //

@@ -29,7 +29,8 @@ cmake -B build-asan -S . -DPPML_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$jobs" --target mapreduce_test chaos_test \
   dropout_recovery_test obs_test qp_test linalg_test microkernel_test \
   consensus_engine_test async_consensus_test grouped_ring_test serving_test \
-  privacy_ledger_test crypto_test serde_fuzz_test property_test
+  privacy_ledger_test crypto_test serde_fuzz_test property_test \
+  core_vertical_test
 # mapreduce_test covers the out-of-core blockstore: spill/mmap/LRU paths
 # hand out spans into unlinked mapped files — ASan watches the lifetimes.
 ./build-asan/tests/mapreduce_test
@@ -52,6 +53,12 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/linalg_test
 # dispatcher are exactly where out-of-bounds reads would hide.
 ./build-asan/tests/microkernel_test
 PPML_FORCE_ISA=scalar ./build-asan/tests/microkernel_test
+# core_vertical_test's kernel learner keeps K below the diagonal of its
+# Cholesky buffer and U above it; the in-place factor and the half-matrix
+# c = K alpha product index both triangles of one buffer. Run it dispatched
+# and pinned to the scalar table.
+./build-asan/tests/core_vertical_test
+PPML_FORCE_ISA=scalar ./build-asan/tests/core_vertical_test
 ./build-asan/tests/consensus_engine_test
 ./build-asan/tests/async_consensus_test
 ./build-asan/tests/grouped_ring_test

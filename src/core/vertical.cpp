@@ -16,10 +16,8 @@ LinearVerticalLearner::LinearVerticalLearner(linalg::Matrix block,
              "LinearVerticalLearner: empty block");
   PPML_CHECK(rho_ > 0.0, "LinearVerticalLearner: rho must be positive");
   // Factor I + rho X^T X (k_m x k_m — feature blocks are narrow).
-  linalg::Matrix normal = linalg::gram_at_a(block_);
-  for (double& v : normal.data()) v *= rho_;
-  for (std::size_t i = 0; i < normal.rows(); ++i) normal(i, i) += 1.0;
-  factor_ = std::make_unique<linalg::Cholesky>(normal);
+  factor_ = std::make_unique<linalg::Cholesky>(linalg::gram_at_a(block_),
+                                               rho_, 1.0);
   w_.assign(block_.cols(), 0.0);
   c_.assign(rows_, 0.0);
 }
@@ -46,13 +44,14 @@ KernelVerticalLearner::KernelVerticalLearner(linalg::Matrix block,
     : block_(std::move(block)),
       rows_(block_.rows()),
       rho_(params.rho),
-      k_(svm::gram(kernel, block_)) {
+      kernel_(std::move(kernel)) {
   PPML_CHECK(rho_ > 0.0, "KernelVerticalLearner: rho must be positive");
-  kernel_ = kernel;
-  linalg::Matrix normal = k_;
-  for (double& v : normal.data()) v *= rho_;
-  for (std::size_t i = 0; i < rows_; ++i) normal(i, i) += 1.0 + 1e-10;
-  factor_ = std::make_unique<linalg::Cholesky>(normal);
+  linalg::Matrix k = svm::gram(kernel_, block_);
+  k_diag_.resize(rows_);
+  for (std::size_t i = 0; i < rows_; ++i) k_diag_[i] = k(i, i);
+  // Factor I + rho K in K's own buffer; K stays below the diagonal.
+  factor_ =
+      std::make_unique<linalg::Cholesky>(std::move(k), rho_, 1.0 + 1e-10);
   alpha_.assign(rows_, 0.0);
   c_.assign(rows_, 0.0);
 }
@@ -67,7 +66,7 @@ Vector KernelVerticalLearner::local_step(const Vector& broadcast) {
   // alpha = rho (I + rho K)^{-1} d   (push-through identity), c = K alpha.
   alpha_ = factor_->solve(d);
   linalg::scale(rho_, alpha_);
-  c_ = linalg::gemv(k_, alpha_);
+  linalg::symv_lower(factor_->packed(), k_diag_, alpha_, c_);
   return c_;
 }
 

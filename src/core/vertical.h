@@ -65,8 +65,10 @@ class KernelVerticalLearner final : public ConsensusLearner {
   std::size_t rows_;
   double rho_;
   svm::Kernel kernel_;
-  linalg::Matrix k_;  // K_m = kernel gram over the feature subset (N x N)
-  std::unique_ptr<linalg::Cholesky> factor_;  // of I + rho K_m
+  // One N x N buffer: U = L^T of I + rho K_m on and above the diagonal, and
+  // K_m (the kernel gram over the feature subset) strictly below it.
+  std::unique_ptr<linalg::Cholesky> factor_;
+  Vector k_diag_;  // N — K_m's diagonal, which U's displaces
   Vector alpha_;  // N
   Vector c_;      // N — K_m alpha from the previous step
 };

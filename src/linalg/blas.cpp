@@ -18,6 +18,11 @@ namespace {
 constexpr std::size_t kRowBlock = 64;
 constexpr std::size_t kColBlock = 256;
 
+// Rows per block of symv_lower. The block's rows are read twice, by the
+// dot_rows over their prefix and by the rank_update that pushes them into
+// the rows above; 16 rows of n = 1 500 (192 KiB) stay in L2 between the two.
+constexpr std::size_t kSymvRows = 16;
+
 // Products smaller than this many FLOPs run serially even when a parallel
 // backend is installed — the hand-off costs more than the arithmetic.
 // Results are bit-identical either way; this is purely a latency knob.
@@ -93,6 +98,34 @@ Vector gemv(const Matrix& a, std::span<const double> x) {
   return out;
 }
 
+void symv_lower(const Matrix& a, std::span<const double> diag,
+                std::span<const double> x, std::span<double> out) {
+  const std::size_t n = a.rows();
+  PPML_CHECK(a.cols() == n && diag.size() == n && x.size() == n &&
+                 out.size() == n,
+             "symv_lower: shape mismatch");
+  // Row blocks [j0, j1) in ascending order. out[j] for j in the block takes
+  // its terms k < j0 from one dot_rows over the rows' common prefix, then
+  // its in-block terms serially (K(j,k) for k > j is read as K(k,j)). The
+  // block's rows then push their terms k in [j0, j1) into out[0..j0) with
+  // one rank_update, in ascending k. So every out[i] sees 0.0 + term_0 +
+  // term_1 + ... exactly as gemv's dot_rows does.
+  const double* ad = a.data().data();
+  const Microkernels& mk = microkernels();
+  for (std::size_t j0 = 0; j0 < n; j0 += kSymvRows) {
+    const std::size_t j1 = std::min(j0 + kSymvRows, n);
+    mk.dot_rows(x.data(), ad + j0 * n, n, j1 - j0, j0, out.data() + j0);
+    for (std::size_t j = j0; j < j1; ++j) {
+      double acc = out[j];
+      for (std::size_t k = j0; k < j; ++k) acc += x[k] * ad[j * n + k];
+      acc += x[j] * diag[j];
+      for (std::size_t k = j + 1; k < j1; ++k) acc += x[k] * ad[k * n + j];
+      out[j] = acc;
+    }
+    mk.rank_update(x.data() + j0, ad + j0 * n, n, j1 - j0, out.data(), j0);
+  }
+}
+
 void gemv_t(const Matrix& a, std::span<const double> x, std::span<double> out) {
   PPML_CHECK(a.rows() == x.size() && a.cols() == out.size(),
              "gemv_t: shape mismatch");
@@ -106,21 +139,6 @@ Vector gemv_t(const Matrix& a, std::span<const double> x) {
   return out;
 }
 
-Matrix gemm_naive(const Matrix& a, const Matrix& b) {
-  PPML_CHECK(a.cols() == b.rows(), "gemm: inner dimension mismatch");
-  Matrix c(a.rows(), b.cols());
-  // ikj loop order keeps the inner loop streaming over contiguous rows.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    auto crow = c.row(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      axpy(aik, b.row(k), crow);
-    }
-  }
-  return c;
-}
-
 Matrix gemm(const Matrix& a, const Matrix& b) {
   PPML_CHECK(a.cols() == b.rows(), "gemm: inner dimension mismatch");
   const std::size_t m = a.rows();
@@ -132,9 +150,10 @@ Matrix gemm(const Matrix& a, const Matrix& b) {
   if (m == 0 || nn == 0 || kk == 0) return c;
   // Blocked ikj: for each C row block (one task) and each column tile, the
   // k-loop accumulates a_ik * b_kj in ascending k per element — the same
-  // per-element order as gemm_naive, so the result is bit-identical to the
-  // reference regardless of tiling, thread count or ISA level (the axpy
-  // microkernel keeps one lane per C element; see microkernel.h).
+  // per-element order as the unblocked ikj loop, so the result is
+  // bit-identical to that reference regardless of tiling, thread count or
+  // ISA level (the axpy microkernel keeps one lane per C element; see
+  // microkernel.h).
   const Microkernels& mk = microkernels();
   run_row_blocks(m, 2 * m * kk * nn, [&](std::size_t block) {
     const std::size_t i0 = block * kRowBlock;
@@ -145,22 +164,13 @@ Matrix gemm(const Matrix& a, const Matrix& b) {
         auto crow = c.row(i);
         for (std::size_t k = 0; k < kk; ++k) {
           const double aik = a(i, k);
-          if (aik == 0.0) continue;  // same skip as gemm_naive's axpy guard
+          if (aik == 0.0) continue;  // same skip as the ikj loop's axpy guard
           const auto brow = b.row(k);
           mk.axpy(aik, brow.data() + j0, crow.data() + j0, j1 - j0);
         }
       }
     }
   });
-  return c;
-}
-
-Matrix gemm_nt_naive(const Matrix& a, const Matrix& b) {
-  PPML_CHECK(a.cols() == b.cols(), "gemm_nt: inner dimension mismatch");
-  Matrix c(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < b.rows(); ++j)
-      c(i, j) = dot(a.row(i), b.row(j));
   return c;
 }
 
@@ -176,7 +186,7 @@ Matrix gemm_nt(const Matrix& a, const Matrix& b) {
   // Row-tile both operands so a block of B rows stays cache-resident while
   // the A rows of one task stream past it. Each element keeps one ascending-k
   // accumulator (dot_rows evaluates a strip of B rows against one A row),
-  // identical to gemm_nt_naive's per-element dot() calls.
+  // identical to one dot() call per element.
   const Microkernels& mk = microkernels();
   run_row_blocks(m, 2 * m * kk * nn, [&](std::size_t block) {
     const std::size_t i0 = block * kRowBlock;

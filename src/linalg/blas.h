@@ -32,6 +32,14 @@ double squared_distance(std::span<const double> x, std::span<const double> y);
 void gemv(const Matrix& a, std::span<const double> x, std::span<double> out);
 Vector gemv(const Matrix& a, std::span<const double> x);
 
+/// out = K * x for a symmetric n x n K held as the strict lower triangle of
+/// `a` plus the n-vector `diag` (a's diagonal and upper triangle are not
+/// read). Every out[i] adds K(i,k) * x[k] in ascending k from 0.0, gemv's
+/// order, so the result is bit-identical to gemv on the full K at every ISA
+/// level while reading half of it. out may not alias x.
+void symv_lower(const Matrix& a, std::span<const double> diag,
+                std::span<const double> x, std::span<double> out);
+
 /// out = A^T * x  (A: m x n, x: m, out: n). out may not alias x.
 void gemv_t(const Matrix& a, std::span<const double> x, std::span<double> out);
 Vector gemv_t(const Matrix& a, std::span<const double> x);
@@ -39,21 +47,14 @@ Vector gemv_t(const Matrix& a, std::span<const double> x);
 /// C = A * B (A: m x k, B: k x n). Blocked and, when a linalg parallel
 /// backend is installed (linalg/parallel.h), threaded over row tiles. The
 /// tile loops run through the runtime-dispatched SIMD microkernels
-/// (linalg/microkernel.h); bit-identical to gemm_naive for any tile,
-/// thread or ISA configuration.
+/// (linalg/microkernel.h); bit-identical to the unblocked ikj loop
+/// (tests/blas_oracles.h) for any tile, thread or ISA configuration.
 Matrix gemm(const Matrix& a, const Matrix& b);
-
-/// Unblocked single-threaded reference for gemm; kept as the equivalence
-/// oracle for tests and for debugging blocked-path regressions.
-Matrix gemm_naive(const Matrix& a, const Matrix& b);
 
 /// C = A * B^T (A: m x k, B: n x k). Row-major friendly: both operands are
 /// traversed along contiguous rows. Blocked + threaded like gemm;
-/// bit-identical to gemm_nt_naive.
+/// bit-identical to one dot() per element.
 Matrix gemm_nt(const Matrix& a, const Matrix& b);
-
-/// Unblocked single-threaded reference for gemm_nt.
-Matrix gemm_nt_naive(const Matrix& a, const Matrix& b);
 
 /// C = A * A^T (symmetric rank-k update, m x m from an m x k matrix).
 /// Computes the upper triangle once and mirrors it; blocked + threaded.

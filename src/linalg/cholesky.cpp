@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "linalg/microkernel.h"
 
@@ -53,23 +54,28 @@ void backward_substitute(const Matrix& u, Vector& x) {
 }
 }  // namespace
 
-Cholesky::Cholesky(const Matrix& a) {
-  PPML_CHECK(a.rows() == a.cols(), "Cholesky: matrix not square");
-  const std::size_t n = a.rows();
-  u_ = Matrix(n, n);
+Cholesky::Cholesky(Matrix a, double scale, double shift) : u_(std::move(a)) {
+  PPML_CHECK(u_.rows() == u_.cols(), "Cholesky: matrix not square");
+  const std::size_t n = u_.rows();
   double* u = u_.data().data();
-  // U starts as A's lower triangle, transposed, copied in tiles; the same
-  // pass checks each off-diagonal pair against the upper triangle.
-  for (std::size_t i = 0; i < n; ++i) u[i * n + i] = a(i, i);
+  // U starts as A's lower triangle, transposed into the upper one in tiles;
+  // the same pass checks each off-diagonal pair against the upper triangle
+  // before overwriting it. The strict lower triangle is only read. A zero
+  // shift is skipped, not added, so that a -0.0 pivot keeps its sign.
+  for (std::size_t i = 0; i < n; ++i) {
+    u[i * n + i] *= scale;
+    if (shift != 0.0) u[i * n + i] += shift;
+  }
   for (std::size_t i0 = 0; i0 < n; i0 += kPanel) {
     const std::size_t i1 = std::min(i0 + kPanel, n);
     for (std::size_t j0 = 0; j0 < i1; j0 += kPanel) {
       for (std::size_t i = i0; i < i1; ++i) {
         for (std::size_t j = j0; j < std::min(j0 + kPanel, i); ++j) {
-          const double upper = a(j, i);
-          PPML_CHECK(std::abs(upper - a(i, j)) <= 1e-8 * (1.0 + std::abs(upper)),
+          const double upper = scale * u[j * n + i];
+          const double lower = scale * u[i * n + j];
+          PPML_CHECK(std::abs(upper - lower) <= 1e-8 * (1.0 + std::abs(upper)),
                      "Cholesky: matrix not symmetric");
-          u[j * n + i] = a(i, j);
+          u[j * n + i] = lower;
         }
       }
     }
@@ -118,6 +124,14 @@ Cholesky::Cholesky(const Matrix& a) {
   }
 }
 
+Matrix Cholesky::l() const {
+  const std::size_t n = dim();
+  Matrix l(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) l(i, j) = u_(j, i);
+  return l;
+}
+
 Vector Cholesky::solve(std::span<const double> b) const {
   PPML_CHECK(b.size() == dim(), "Cholesky::solve: rhs size mismatch");
   Vector x(b.begin(), b.end());
@@ -150,10 +164,7 @@ Vector solve_spd(const Matrix& a, std::span<const double> b) {
 
 Matrix woodbury_small_inverse(const Matrix& kgg, double c) {
   PPML_CHECK(kgg.rows() == kgg.cols(), "woodbury: Kgg must be square");
-  Matrix m = kgg;
-  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] *= c;
-  for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += 1.0;
-  return Cholesky(m).inverse();
+  return Cholesky(kgg, c, 1.0).inverse();
 }
 
 }  // namespace ppml::linalg

@@ -12,29 +12,39 @@ namespace ppml::linalg {
 /// factor once and solve every iteration.
 ///
 /// Storage: the factor is kept as U = L^T, row-major upper triangular, in
-/// one n x n buffer, so every hot loop walks rows. The factorization is a
-/// blocked right-looking one done in place (panels of rows, then a rank-nb
-/// update of the trailing rows through microkernels().rank_update) with
-/// O(nb * n) scratch. Each element still sees the textbook Crout sequence
-/// a(i,j) - p_0 - p_1 - ... then / L(j,j), in ascending k, so the factor,
-/// solves, inverse and log-det are bit-identical at every ISA level to the
-/// scalar column-by-column loop (pinned in linalg_test). A is read from its
-/// lower triangle only. docs/performance.md ("Factorization") has the layout
-/// and the argument.
+/// the n x n buffer it was given, so every hot loop walks rows. The
+/// factorization is a blocked right-looking one done in place (panels of
+/// rows, then a rank-nb update of the trailing rows through
+/// microkernels().rank_update) with O(nb * n) scratch. Each element still
+/// sees the textbook Crout sequence a(i,j) - p_0 - p_1 - ... then / L(j,j),
+/// in ascending k, so the factor, solves, inverse and log-det are
+/// bit-identical at every ISA level to the scalar column-by-column loop
+/// (pinned in linalg_test). A is read from its lower triangle only, and the
+/// strict lower triangle of the buffer is left as it came in: a caller that
+/// moves a symmetric matrix in keeps it readable there beside U (see
+/// packed()). docs/performance.md ("Factorization") has the layout and the
+/// argument.
 class Cholesky {
  public:
   /// Rows per panel (nb) of the blocked factorization and per block of the
   /// forward solve.
   static constexpr std::size_t kPanelRows = 32;
 
-  /// Factor `a` (must be square, symmetric, positive definite).
-  explicit Cholesky(const Matrix& a);
+  /// Factor A = scale * a + shift * I in a's own buffer. `a` must be square
+  /// and symmetric (checked on the scaled values) and A positive definite.
+  /// Pass an rvalue to factor without a copy.
+  explicit Cholesky(Matrix a, double scale = 1.0, double shift = 0.0);
 
   std::size_t dim() const noexcept { return u_.rows(); }
 
   /// Lower-triangular factor L, as a transposed copy of the stored U = L^T
-  /// (tests and diagnostics only; the solves never materialize it).
-  Matrix l() const { return u_.transposed(); }
+  /// with zeros above the diagonal (tests and diagnostics only; the solves
+  /// never materialize it).
+  Matrix l() const;
+
+  /// The whole buffer: U = L^T in the upper triangle and on the diagonal,
+  /// and in the strict lower triangle the input's, unscaled.
+  const Matrix& packed() const noexcept { return u_; }
 
   /// Solve A x = b.
   Vector solve(std::span<const double> b) const;
@@ -49,7 +59,7 @@ class Cholesky {
   double log_det() const;
 
  private:
-  Matrix u_;  // U = L^T, upper triangular; the strict lower triangle is 0
+  Matrix u_;  // U = L^T on and above the diagonal; the input's below it
 };
 
 /// Solve the small dense SPD system (I*alpha + B) x = b via Cholesky.

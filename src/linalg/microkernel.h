@@ -6,10 +6,12 @@
 //
 //   axpy         y[j] += a * x[j]                     (gemm inner tile)
 //   dot_rows     out[r] = sum_k x[k] * b_r[k]         (gemm_nt / syrk / gemv
-//                                                      / dot-kernel rows)
+//                                                      / symv_lower /
+//                                                      dot-kernel rows)
 //   sqdist_rows  out[r] = sum_k (x[k] - b_r[k])^2     (RBF kernel rows)
 //   rank_update  y[j] += a[p] * x_p[j], p ascending   (Cholesky panel and
-//                                                      trailing update)
+//                                                      trailing update,
+//                                                      symv_lower)
 //
 // Each primitive has a scalar implementation (the exact loops the blocked
 // paths used before this seam existed) and an AVX2 implementation selected

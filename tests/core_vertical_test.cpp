@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "core/vertical.h"
 #include "data/generators.h"
 #include "data/standardize.h"
@@ -169,6 +173,46 @@ TEST(KernelVertical, TraceRecordsEveryIteration) {
     EXPECT_GE(result.trace.records[i].test_accuracy, 0.0);
     EXPECT_LE(result.trace.records[i].test_accuracy, 1.0);
   }
+}
+
+/// FNV-1a over the bit patterns of `v`, each word little-endian.
+std::uint64_t fnv1a_bits(std::uint64_t h, const Vector& v) {
+  for (double d : v) {
+    const auto w = std::bit_cast<std::uint64_t>(d);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(KernelVertical, LocalStepDigestPinned) {
+  // n = 97 crosses the factor's 32-row panels and the 4-lane SIMD groups,
+  // so every remainder path of the factorization, the solves and the
+  // c = K alpha product runs. Ten steps against a deterministic broadcast;
+  // alpha and c are hashed bit for bit after each one. The digest is the
+  // same at every ISA level.
+  constexpr std::size_t kRows = 97;
+  linalg::Matrix block(kRows, 5);
+  for (std::size_t i = 0; i < kRows; ++i)
+    for (std::size_t j = 0; j < 5; ++j)
+      block(i, j) = std::sin(0.37 * static_cast<double>(i * 5 + j) + 0.1);
+  AdmmParams params;
+  params.rho = 3.0;
+  KernelVerticalLearner learner(std::move(block), svm::Kernel::rbf(0.4),
+                                params);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Vector broadcast;
+  for (std::size_t step = 0; step < 10; ++step) {
+    const Vector c = learner.local_step(broadcast);
+    h = fnv1a_bits(h, learner.alpha());
+    h = fnv1a_bits(h, c);
+    broadcast.resize(kRows);
+    for (std::size_t i = 0; i < kRows; ++i)
+      broadcast[i] = std::cos(static_cast<double>(i + 3 * step)) - 0.5 * c[i];
+  }
+  EXPECT_EQ(h, 0x781D21F4208DDCCDULL);
 }
 
 TEST(VerticalLearners, ValidateParameters) {

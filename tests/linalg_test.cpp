@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "blas_oracles.h"
 #include "linalg/blas.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
@@ -415,6 +416,7 @@ TEST(CholeskyOracle, NonPositiveDefiniteThrowsTheSeedMessage) {
       Matrix{{-4.0}},
       Matrix{{0.0, 0.0}, {0.0, 1.0}},
       Matrix{{std::nan("")}},
+      Matrix{{-0.0}},  // the pivot's sign shows in the message
   };
   // Pivots that fail in the first panel, on a panel's first row, and in a
   // trailing row two panels in.
@@ -435,6 +437,46 @@ TEST(CholeskyOracle, AsymmetricInputIsRejected) {
   Matrix a = make_spd(SpdKind::kRbf, 2 * Cholesky::kPanelRows + 3, 1);
   a(3, 2 * Cholesky::kPanelRows + 1) += 1e-3;
   EXPECT_THROW(Cholesky{a}, InvalidArgument);
+  // The in-place path checks the scaled pair before it overwrites the upper
+  // element.
+  EXPECT_THROW(Cholesky(std::move(a), 3.0, 1.0 + 1e-10), InvalidArgument);
+}
+
+// The kernel-vertical learner moves its gram K into the factor and asks for
+// A = rho K + (1 + 1e-10) I; that must be the factor of the explicitly
+// built system, bit for bit, with K left readable below the diagonal.
+TEST_P(CholeskyOracle, InPlaceScaledShiftMatchesTheExplicitSystem) {
+  const FactorCase c = GetParam();
+  constexpr double kRho = 3.0;
+  constexpr double kShift = 1.0 + 1e-10;
+  const Matrix k = make_spd(c.kind, c.n, c.seed);
+  Matrix a = k;
+  for (double& v : a.data()) v *= kRho;
+  for (std::size_t i = 0; i < c.n; ++i) a(i, i) += kShift;
+  const Cholesky want(a);
+  const Cholesky got(Matrix(k), kRho, kShift);
+
+  const Matrix l = got.l();
+  expect_bit_identical(l.data(), want.l().data(), "factor");
+  for (std::size_t i = 0; i < c.n; ++i)
+    for (std::size_t j = i + 1; j < c.n; ++j)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(l(i, j)), 0u) << i << "," << j;
+
+  std::mt19937_64 rng(c.seed ^ 0xb1a5ULL);
+  std::normal_distribution<double> normal;
+  Vector b(c.n);
+  for (double& v : b) v = normal(rng);
+  expect_bit_identical(got.solve(b), want.solve(b), "solve");
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.log_det()),
+            std::bit_cast<std::uint64_t>(want.log_det()));
+
+  // The strict lower triangle is K's, unscaled and untouched.
+  const Matrix& packed = got.packed();
+  for (std::size_t i = 0; i < c.n; ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(packed(i, j)),
+                std::bit_cast<std::uint64_t>(k(i, j)))
+          << i << "," << j;
 }
 
 TEST(Woodbury, MatchesDirectInverse) {
@@ -528,6 +570,39 @@ TEST(BlockedGemm, SyrkMatchesGemmNtWithSelf) {
     const Matrix a = random_matrix(n, 17, 2000 + n);
     EXPECT_EQ(syrk(a), gemm_nt_naive(a, a)) << "n=" << n;
     EXPECT_EQ(gram_a_at(a), syrk(a));
+  }
+}
+
+TEST(BlockedGemm, SymvLowerMatchesGemvBitwise) {
+  // Sizes cross the 4-lane SIMD groups and the 16-row blocks. x mixes
+  // zeros, signed zeros and +/-1e16 pairs whose sums cancel, so any change
+  // in a row's summation order shows in its bits.
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+        std::size_t{5}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+        std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{65},
+        std::size_t{257}}) {
+    const Matrix half = random_matrix(n, n, 3000 + n);
+    Matrix k(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j <= i; ++j) k(i, j) = k(j, i) = half(i, j);
+    if (n > 3) k(3, 1) = k(1, 3) = -0.0;
+    // Only the strict lower triangle and the diagonal vector may be read.
+    Matrix packed = k;
+    Vector diag(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      diag[i] = k(i, i);
+      for (std::size_t j = i; j < n; ++j) packed(i, j) = std::nan("");
+    }
+    Vector x = random_matrix(1, n, 4000 + n, 0.3).data();
+    for (std::size_t i = 0; i < n; i += 7) x[i] = (i / 7) % 2 ? 0.0 : -0.0;
+    for (std::size_t i = 2; i + 1 < n; i += 5) {
+      x[i] = 1e16;
+      x[i + 1] = -1e16;
+    }
+    Vector got(n, std::nan(""));
+    symv_lower(packed, diag, x, got);
+    expect_bit_identical(got, gemv(k, x), "n=" + std::to_string(n));
   }
 }
 

@@ -16,6 +16,7 @@
 #include <random>
 #include <vector>
 
+#include "blas_oracles.h"
 #include "linalg/blas.h"
 #include "linalg/common.h"
 #include "svm/kernel.h"

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <sstream>
 
 #include "data/generators.h"
 #include "data/standardize.h"
 #include "linalg/blas.h"
+#include "linalg/microkernel.h"
 #include "qp/smo.h"
 #include "svm/kernel.h"
 #include "svm/metrics.h"
@@ -69,6 +73,37 @@ TEST(Gram, SymmetricAndConsistentWithCrossGram) {
   }
   const linalg::Matrix cross = cross_gram(k, d.x, d.x);
   EXPECT_TRUE(linalg::allclose(g, cross, 1e-15));
+}
+
+TEST(Gram, ExactlySymmetricForEveryKernelAtBothIsaLevels) {
+  // K == K^T bit for bit is what lets a consumer keep only one triangle
+  // (linalg::symv_lower reads K(i,k), k > i, as K(k,i)). Sizes cross the
+  // 4-lane SIMD groups and syrk's 64-row blocks.
+  std::vector<linalg::Isa> isas = {linalg::Isa::kScalar};
+  if (linalg::isa_available(linalg::Isa::kAvx2))
+    isas.push_back(linalg::Isa::kAvx2);
+  const Kernel kernels[] = {Kernel::linear(), Kernel::polynomial(3, 0.5, 1.0),
+                            Kernel::rbf(0.3), Kernel::sigmoid(0.1, -0.2)};
+  std::mt19937_64 rng(17);
+  std::normal_distribution<double> normal;
+  for (const std::size_t n : {1, 5, 33, 130}) {
+    linalg::Matrix x(n, 7);
+    for (double& v : x.data()) v = normal(rng);
+    for (const linalg::Isa isa : isas) {
+      linalg::force_isa(isa);
+      for (const Kernel& k : kernels) {
+        const linalg::Matrix g = gram(k, x);
+        std::size_t asymmetric = 0;
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < i; ++j)
+            asymmetric += std::bit_cast<std::uint64_t>(g(i, j)) !=
+                          std::bit_cast<std::uint64_t>(g(j, i));
+        EXPECT_EQ(asymmetric, 0u) << k.describe() << " n=" << n << " "
+                                  << linalg::isa_name(isa);
+      }
+    }
+  }
+  linalg::clear_forced_isa();
 }
 
 TEST(Gram, KernelRowMatchesCrossGram) {
