@@ -381,9 +381,9 @@ int main(int argc, char** argv) {
     if (observe) session.emplace(&tracer, &metrics, &recorder, &ledger);
     obs::Span run_span("run", "cli");
 
-    // One-line ISA attribution (PPML_FORCE_ISA=scalar|avx2 overrides the
-    // cpuid probe): timings in --metrics output are meaningless without
-    // knowing which microkernel table served them.
+    // One-line ISA attribution (PPML_FORCE_ISA=scalar|avx2|avx512 overrides
+    // the cpuid probe): timings in --metrics output are meaningless without
+    // knowing which level served the microkernels and the mask keystream.
     std::printf("simd isa: %s\n", linalg::active_isa_name());
 
     if (options.serve > 0 && options.scheme != "linear-v" &&

@@ -71,10 +71,13 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/core_vertical_test
 ./build-asan/tests/privacy_ledger_test
 # crypto_test drives the u128 modular arithmetic (single-multiply mulmod
 # below 2^64, bit-serial above) against in-test oracles — UBSan watches
-# the wide shifts and products. It runs once dispatched and once pinned to
-# the scalar table, so the 8-block AVX2 keystream's unaligned stores into
-# fill()'s output run under ASan next to the scalar reference.
+# the wide shifts and products. It runs dispatched, pinned to avx2 and
+# pinned to the scalar table, so the 16-block AVX-512 keystream's (on
+# AVX-512 hosts) and the 8-block AVX2 keystream's unaligned stores into
+# fill()'s output, and the codec's masked tail loads, run under ASan next
+# to the scalar reference.
 ./build-asan/tests/crypto_test
+PPML_FORCE_ISA=avx2 ./build-asan/tests/crypto_test
 PPML_FORCE_ISA=scalar ./build-asan/tests/crypto_test
 
 # ThreadSanitizer over the suites that are race-clean today: the metrics

@@ -2,9 +2,38 @@
 
 #include <cmath>
 
+#include "linalg/microkernel.h"
 #include "obs/obs.h"
 
 namespace ppml::crypto {
+
+#if defined(PPML_HAVE_AVX512)
+// Defined in chacha20_avx512.cpp (compiled with -mavx512f -mavx512dq).
+void fixed_point_encode_avx512(const double* v, std::size_t n, double scale,
+                               std::uint64_t* out) noexcept;
+#endif
+
+namespace {
+
+/// out[i] = round(v[i] * scale) as int64, in two's complement, for values
+/// already range-checked so that every product fits int64.
+void convert_scaled(std::span<const double> v, double scale,
+                    std::uint64_t* out) {
+#if defined(PPML_HAVE_AVX512)
+  if (linalg::active_isa() >= linalg::Isa::kAvx512) {
+    // vcvtpd2qq rounds in the MXCSR mode, as nearbyint does.
+    fixed_point_encode_avx512(v.data(), v.size(), scale, out);
+    return;
+  }
+#endif
+  // std::rint rounds as nearbyint does (it differs only in raising
+  // FE_INEXACT) and compiles inline, with no libm call per element.
+  for (std::size_t i = 0; i < v.size(); ++i)
+    out[i] = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(std::rint(v[i] * scale)));
+}
+
+}  // namespace
 
 FixedPointCodec::FixedPointCodec(unsigned fractional_bits,
                                  std::size_t max_terms)
@@ -41,16 +70,27 @@ double FixedPointCodec::decode(std::uint64_t r) const {
 
 std::vector<std::uint64_t> FixedPointCodec::encode_vector(
     std::span<const double> v) const {
+  // Range first, over the whole span: the first value encode() rejects
+  // (non-finite or over max_encodable_) throws encode()'s own error. After
+  // it every |v[i] * scale_| <= 2^62, so each conversion below fits int64,
+  // and the product is exact because scale_ is a power of two.
+  for (const double x : v)
+    if (!(std::abs(x) <= max_encodable_)) encode(x);
   std::vector<std::uint64_t> out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) out[i] = encode(v[i]);
+  convert_scaled(v, scale_, out.data());
   obs::count("crypto.fp_encode", static_cast<std::int64_t>(v.size()));
   return out;
 }
 
 std::vector<double> FixedPointCodec::decode_vector(
     std::span<const std::uint64_t> r) const {
+  // x * 2^-f is the correctly rounded x / 2^f: the same double decode()
+  // returns, for a multiply instead of a divide.
+  const double inv_scale =
+      std::ldexp(1.0, -static_cast<int>(fractional_bits_));
   std::vector<double> out(r.size());
-  for (std::size_t i = 0; i < r.size(); ++i) out[i] = decode(r[i]);
+  for (std::size_t i = 0; i < r.size(); ++i)
+    out[i] = static_cast<double>(static_cast<std::int64_t>(r[i])) * inv_scale;
   obs::count("crypto.fp_decode", static_cast<std::int64_t>(r.size()));
   return out;
 }

@@ -36,7 +36,12 @@ class FixedPointCodec {
   /// Decode one value (inverse of encode up to quantization).
   double decode(std::uint64_t r) const;
 
+  /// encode() of every element, bit for bit. Checks the whole span before
+  /// converting any of it: the first value encode() would reject throws
+  /// encode()'s NumericError. At the avx512 dispatch level the conversion
+  /// runs eight lanes at a time (chacha20_avx512.cpp).
   std::vector<std::uint64_t> encode_vector(std::span<const double> v) const;
+  /// decode() of every element, bit for bit.
   std::vector<double> decode_vector(std::span<const std::uint64_t> r) const;
 
   /// Worst-case absolute quantization error of a sum of `terms` encoded

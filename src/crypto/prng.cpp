@@ -12,6 +12,11 @@ namespace ppml::crypto {
 void chacha20_blocks8_avx2(const std::uint32_t* input, std::size_t batches,
                            std::uint64_t* out) noexcept;
 #endif
+#if defined(PPML_HAVE_AVX512)
+// Defined in chacha20_avx512.cpp (compiled with -mavx512f -mavx512dq).
+void chacha20_blocks16_avx512(const std::uint32_t* input, std::size_t batches,
+                              std::uint64_t* out) noexcept;
+#endif
 
 std::uint64_t SplitMix64::next() {
   std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
@@ -124,15 +129,24 @@ void ChaCha20Stream::fill(std::span<std::uint64_t> out) {
   // Use up the block next_u64 left part-read (cursor_ is always even).
   while (i < out.size() && cursor_ < 16) out[i++] = next_u64();
 #if defined(PPML_HAVE_AVX2)
-  // Whole 8-block batches straight into `out`, when the dispatch seam runs
-  // at AVX2. They continue the counter sequence the scalar path would use.
-  constexpr std::size_t kBatchWords = 64;  // 8 blocks x 16 words / 2
-  const std::size_t batches = (out.size() - i) / kBatchWords;
-  if (batches > 0 && linalg::active_isa() == linalg::Isa::kAvx2) {
-    chacha20_blocks8_avx2(input_.data(), batches, out.data() + i);
-    input_[12] += static_cast<std::uint32_t>(8 * batches);
-    i += batches * kBatchWords;
-  }
+  // Whole batches of `blocks` blocks straight into `out`, at the level the
+  // dispatch seam runs. They continue the counter sequence the scalar path
+  // would use.
+  const auto write_batches = [&](auto* kernel, std::uint32_t blocks) {
+    const std::size_t words = 8 * std::size_t{blocks};  // 8 u64 per block
+    const std::size_t batches = (out.size() - i) / words;
+    if (batches == 0) return;
+    kernel(input_.data(), batches, out.data() + i);
+    input_[12] += static_cast<std::uint32_t>(blocks * batches);
+    i += batches * words;
+  };
+  const linalg::Isa isa = linalg::active_isa();
+#if defined(PPML_HAVE_AVX512)
+  if (isa >= linalg::Isa::kAvx512) write_batches(chacha20_blocks16_avx512, 16);
+#endif
+  // At avx512 at most one 8-block batch is left, so a 64..127-word rest
+  // (serving's 64-word masks) runs the AVX2 kernel.
+  if (isa >= linalg::Isa::kAvx2) write_batches(chacha20_blocks8_avx2, 8);
 #endif
   for (; i < out.size(); ++i) out[i] = next_u64();
 }

@@ -42,12 +42,18 @@ class Xoshiro256 {
 /// key = 32 bytes, nonce = 12 bytes, counter starts at 0.
 ///
 /// The stream is RFC 8439-exact at every ISA level. next_u64() always runs
-/// the scalar block function. fill() finishes a part-read block with it,
-/// then, when linalg::active_isa() is AVX2 (PPML_FORCE_ISA and
-/// linalg::force_isa() pin it), writes whole 8-block batches with the AVX2
-/// kernel in chacha20_avx2.cpp, and ends with scalar blocks. The 32-bit block
-/// counter wraps in every lane exactly as the scalar `input_[12] += 1` does,
-/// so any mix of next_u64() and fill() calls yields the same words.
+/// the scalar block function. fill() works in this order, at the level
+/// linalg::active_isa() reports (PPML_FORCE_ISA and linalg::force_isa() pin
+/// it):
+///   1. finish the part-read block with the scalar function;
+///   2. at avx512, write whole 16-block (128-word) batches with the kernel in
+///      chacha20_avx512.cpp;
+///   3. at avx2 and above, write whole 8-block (64-word) batches with the
+///      kernel in chacha20_avx2.cpp (at avx512 that is at most one batch);
+///   4. end with scalar blocks.
+/// The 32-bit block counter wraps in every lane exactly as the scalar
+/// `input_[12] += 1` does, so any mix of next_u64() and fill() calls yields
+/// the same words.
 class ChaCha20Stream {
  public:
   ChaCha20Stream(const std::array<std::uint8_t, 32>& key,

@@ -63,6 +63,7 @@ constexpr Microkernels kScalarTable{Isa::kScalar,        "scalar",
 #if defined(PPML_HAVE_AVX2)
 // Defined in microkernel_avx2.cpp (compiled with -mavx2).
 const Microkernels& avx2_microkernels() noexcept;
+const Microkernels& avx512_microkernels() noexcept;
 #endif
 
 namespace {
@@ -75,6 +76,17 @@ bool cpu_has_avx2() noexcept {
 #endif
 }
 
+// The avx512 level needs the AVX2 table (it runs it) and the AVX-512 F+DQ
+// crypto kernels, which are compiled in exactly when PPML_HAVE_AVX512 is.
+bool cpu_has_avx512() noexcept {
+#if defined(PPML_HAVE_AVX512) && (defined(__x86_64__) || defined(__i386__))
+  return cpu_has_avx2() && __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512dq") != 0;
+#else
+  return false;
+#endif
+}
+
 const Microkernels* table_for(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
@@ -82,6 +94,11 @@ const Microkernels* table_for(Isa isa) noexcept {
     case Isa::kAvx2:
 #if defined(PPML_HAVE_AVX2)
       if (cpu_has_avx2()) return &avx2_microkernels();
+#endif
+      return nullptr;
+    case Isa::kAvx512:
+#if defined(PPML_HAVE_AVX2)
+      if (cpu_has_avx512()) return &avx512_microkernels();
 #endif
       return nullptr;
   }
@@ -115,7 +132,7 @@ const Microkernels* resolve() {
     } else {
       std::fprintf(stderr,
                    "ppml: ignoring unrecognized PPML_FORCE_ISA='%s' "
-                   "(expected scalar|avx2)\n",
+                   "(expected scalar|avx2|avx512)\n",
                    env);
     }
   }
@@ -147,6 +164,7 @@ Isa active_isa() noexcept { return microkernels().isa; }
 const char* active_isa_name() noexcept { return microkernels().name; }
 
 Isa detected_isa() noexcept {
+  if (cpu_has_avx512()) return Isa::kAvx512;
   return cpu_has_avx2() ? Isa::kAvx2 : Isa::kScalar;
 }
 
@@ -168,6 +186,7 @@ void clear_forced_isa() noexcept {
 std::optional<Isa> parse_isa(std::string_view name) noexcept {
   if (name == "scalar") return Isa::kScalar;
   if (name == "avx2") return Isa::kAvx2;
+  if (name == "avx512") return Isa::kAvx512;
   return std::nullopt;
 }
 
@@ -177,6 +196,8 @@ const char* isa_name(Isa isa) noexcept {
       return "scalar";
     case Isa::kAvx2:
       return "avx2";
+    case Isa::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }

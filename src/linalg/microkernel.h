@@ -23,10 +23,17 @@
 // every ISA level is bit-identical to the naive oracles. A single reduction
 // (linalg::dot) cannot be vectorized under that contract and stays scalar.
 //
+// The levels form one ladder: scalar < avx2 < avx512. The avx512 level runs
+// the AVX2 linalg table under its own name (AVX-512 linalg kernels are not
+// written yet); it exists for the crypto mask path, and every AVX2 fast path
+// below stays on at it (their gates read `active_isa() >= Isa::kAvx2`).
+//
 // The seam has three users outside linalg, each in its own -mavx2 TU:
 //   - crypto::ChaCha20Stream::fill (crypto/prng.h) chooses its 8-block AVX2
-//     keystream (crypto/chacha20_avx2.cpp), bit-identical to the scalar
-//     RFC 8439 block function;
+//     keystream (crypto/chacha20_avx2.cpp), and at avx512 its 16-block
+//     keystream (crypto/chacha20_avx512.cpp, -mavx512f -mavx512dq), all
+//     bit-identical to the scalar RFC 8439 block function; the same avx512
+//     TU holds FixedPointCodec::encode_vector's conversion loop;
 //   - qp::solve_diagonal_qp (qp/diagonal_qp.h) runs a lane-summed fast pass
 //     (qp/diagonal_qp_avx2.cpp) and takes each bisection decision from it
 //     only when an error bound certifies the serial sum decides the same;
@@ -34,7 +41,7 @@
 //     (mapreduce/crc32_pclmul.cpp, also -mpclmul) when cpuid reports it.
 // Forcing a level pins all of them.
 //
-// Pinning: set PPML_FORCE_ISA=scalar|avx2 in the environment, or call
+// Pinning: set PPML_FORCE_ISA=scalar|avx2|avx512 in the environment, or call
 // force_isa(). The selected level is logged once to stderr so perf numbers
 // are attributable to an ISA.
 #pragma once
@@ -48,12 +55,13 @@ namespace ppml::linalg {
 enum class Isa : int {
   kScalar = 0,  ///< portable reference loops, always available
   kAvx2 = 1,    ///< 4-wide double AVX2 (no FMA contraction), x86-64 only
+  kAvx512 = 2,  ///< AVX-512 F+DQ for crypto; linalg runs the AVX2 table
 };
 
 /// Function-pointer table of the microkernel primitives for one ISA level.
 struct Microkernels {
   Isa isa;
-  const char* name;  ///< "scalar" or "avx2"
+  const char* name;  ///< "scalar", "avx2" or "avx512"
 
   /// y[j] += a * x[j] for j in [0, n). x and y must not overlap.
   void (*axpy)(double a, const double* x, double* y, std::size_t n);
@@ -96,8 +104,8 @@ bool isa_available(Isa isa) noexcept;
 void force_isa(Isa isa);
 void clear_forced_isa() noexcept;
 
-/// Parse "scalar" / "avx2" (as accepted by PPML_FORCE_ISA). nullopt on
-/// anything else.
+/// Parse "scalar" / "avx2" / "avx512" (as accepted by PPML_FORCE_ISA).
+/// nullopt on anything else.
 std::optional<Isa> parse_isa(std::string_view name) noexcept;
 const char* isa_name(Isa isa) noexcept;
 

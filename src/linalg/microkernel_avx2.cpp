@@ -166,9 +166,15 @@ constexpr Microkernels kAvx2Table{Isa::kAvx2,       "avx2",
                                   axpy_avx2,        dot_rows_avx2,
                                   sqdist_rows_avx2, rank_update_avx2};
 
+// The avx512 level runs these same kernels under its own name.
+constexpr Microkernels kAvx512Table{Isa::kAvx512,     "avx512",
+                                    axpy_avx2,        dot_rows_avx2,
+                                    sqdist_rows_avx2, rank_update_avx2};
+
 }  // namespace
 
 const Microkernels& avx2_microkernels() noexcept { return kAvx2Table; }
+const Microkernels& avx512_microkernels() noexcept { return kAvx512Table; }
 
 }  // namespace ppml::linalg
 

@@ -51,11 +51,11 @@ void store_le32(std::uint32_t v, std::uint8_t* p) {
 }
 
 /// True when crc32() may fold with PCLMULQDQ: the dispatch seam runs at
-/// AVX2 and the CPU has carry-less multiply.
+/// AVX2 or above and the CPU has carry-less multiply.
 bool use_pclmul() noexcept {
 #if defined(PPML_HAVE_PCLMUL)
   static const bool cpu_has_pclmul = __builtin_cpu_supports("pclmul") != 0;
-  return cpu_has_pclmul && linalg::active_isa() == linalg::Isa::kAvx2;
+  return cpu_has_pclmul && linalg::active_isa() >= linalg::Isa::kAvx2;
 #else
   return false;
 #endif
@@ -111,9 +111,12 @@ bool crc_check(std::span<const std::uint8_t> framed) {
 }
 
 void Writer::put_u32(std::uint32_t v) {
-  std::uint8_t bytes[4];
-  store_le32(v, bytes);
-  buffer_.insert(buffer_.end(), bytes, bytes + 4);
+  // Grow, then store in place: a range insert of a stack array into the
+  // still-empty buffer of crc_frame made GCC 12 report a bogus
+  // -Wstringop-overflow / -Wrestrict after inlining. Same bytes.
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + 4);
+  store_le32(v, buffer_.data() + at);
 }
 
 void Writer::put_u64(std::uint64_t v) {

@@ -29,9 +29,9 @@ using BytesView = std::span<const std::uint8_t>;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `data`. Chainable:
 /// pass a previous result as `crc` to extend it over a second span.
-/// When the linalg dispatch seam runs at AVX2 and the CPU has PCLMULQDQ,
-/// spans of 64 bytes or more fold their first len & ~15 bytes with
-/// carry-less multiplies (4x128-bit folding, Gopal et al. 2009); the rest,
+/// When the linalg dispatch seam runs at AVX2 or above and the CPU has
+/// PCLMULQDQ, spans of 64 bytes or more fold their first len & ~15 bytes
+/// with carry-less multiplies (4x128-bit folding, Gopal et al. 2009); the rest,
 /// and everything at the scalar level, goes through slicing-by-8 (eight
 /// bytes per step through eight 256-entry tables). Both compute the same
 /// polynomial remainder as the one-table byte loop, bit for bit.

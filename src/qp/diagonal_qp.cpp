@@ -152,9 +152,9 @@ Result solve_diagonal_qp(const DiagonalQpProblem& problem, double tolerance) {
   };
 
   // The bisection only ever asks which side of delta h(nu) lies on. At the
-  // AVX2 level a lane-summed fast pass answers first: its terms are the
-  // serial terms bit for bit, and both its sum and the serial sum lie
-  // within gamma_N * S of the exact sum, S = sum |t_i| (Higham, Accuracy
+  // AVX2 level and above a lane-summed fast pass answers first: its terms
+  // are the serial terms bit for bit, and both its sum and the serial sum
+  // lie within gamma_N * S of the exact sum, S = sum |t_i| (Higham, Accuracy
   // and Stability, 4.2). gamma_N = N u / (1 - N u), u = 2^-53, with
   // N = n + 16 bounding the depth of either summation tree. When
   // |h_fast - delta| clears 2 gamma_N S_hat (1 + 2 gamma_N) — S_hat is the
@@ -171,7 +171,7 @@ Result solve_diagonal_qp(const DiagonalQpProblem& problem, double tolerance) {
   const double n_u = static_cast<double>(n + 16) * 0x1p-53;
   const double gamma = n_u / (1.0 - n_u);
   std::optional<FastTerms> fast;
-  if (linalg::active_isa() == linalg::Isa::kAvx2) fast.emplace(problem);
+  if (linalg::active_isa() >= linalg::Isa::kAvx2) fast.emplace(problem);
 #endif
   const auto decide = [&](double nu, Vector& x) {
 #if defined(PPML_HAVE_AVX2)

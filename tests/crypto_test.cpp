@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -87,15 +90,17 @@ TEST(Prng, ChaChaStreamsDifferByStreamId) {
 }
 
 // --- ChaCha20Stream::fill at every ISA level ---------------------------------
-// fill() runs the 8-block AVX2 keystream when the dispatch seam selects it;
-// next_u64() is always the scalar RFC 8439 block function. Every test below
-// pins fill() against next_u64() word for word, once per available level.
+// fill() runs the 16-block AVX-512 keystream at avx512 and the 8-block AVX2
+// keystream at avx2 and above; next_u64() is always the scalar RFC 8439
+// block function. Every test below pins fill() against next_u64() word for
+// word, once per available level.
 
 /// Runs `body` once per ISA level this binary and CPU can run, with the
 /// dispatcher pinned to it; restores automatic selection afterwards.
 template <typename Body>
 void for_each_isa(Body body) {
-  for (const linalg::Isa isa : {linalg::Isa::kScalar, linalg::Isa::kAvx2}) {
+  for (const linalg::Isa isa :
+       {linalg::Isa::kScalar, linalg::Isa::kAvx2, linalg::Isa::kAvx512}) {
     if (!linalg::isa_available(isa)) continue;
     linalg::force_isa(isa);
     SCOPED_TRACE(linalg::isa_name(isa));
@@ -114,7 +119,8 @@ std::vector<std::uint64_t> scalar_words(ChaCha20Stream& stream,
 TEST(ChaChaFill, MatchesScalarStreamAtEveryLength) {
   for_each_isa([] {
     for (const std::size_t n :
-         {0, 1, 7, 8, 63, 64, 65, 127, 128, 129, 20000}) {
+         {0, 1, 7, 8, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256,
+          257, 20000}) {
       ChaCha20Stream reference(0xC0FFEEULL + n, 17);
       ChaCha20Stream stream(0xC0FFEEULL + n, 17);
       std::vector<std::uint64_t> out(n);
@@ -154,7 +160,8 @@ TEST(ChaChaFill, ConsecutiveFillsMatchScalar) {
 
 TEST(ChaChaFill, Rfc8439BlockOneFromBatchPath) {
   // RFC 8439 §2.3.2 (block counter 1), read as words 8..15 of one 128-word
-  // fill, so on AVX2 hosts it comes out of the 8-block batch.
+  // fill, so it comes out of the 16-block batch at avx512 and out of the
+  // 8-block batch at avx2.
   constexpr std::array<std::uint32_t, 16> kBlockOne = {
       0xe4e7f110u, 0x15593bd1u, 0x1fdd0f50u, 0xc47120a3u,
       0xc7f4d1c7u, 0x0368c033u, 0x9aaa2204u, 0x4e6cd4c3u,
@@ -303,6 +310,97 @@ TEST(FixedPoint, RejectsOutOfRangeAndNonFinite) {
   EXPECT_THROW(codec.encode(std::nan("")), NumericError);
   EXPECT_THROW(codec.encode(INFINITY), NumericError);
   EXPECT_NO_THROW(codec.encode(codec.max_encodable() * 0.99));
+}
+
+// encode_vector / decode_vector against the per-element encode / decode, at
+// every available level, on every prefix length (so the 8-lane body and
+// each tail length run).
+TEST(FixedPoint, VectorCodecMatchesPerElementOracle) {
+  for (const unsigned bits : {1u, 10u, 24u, 52u}) {
+    SCOPED_TRACE("bits=" + std::to_string(bits));
+    const FixedPointCodec codec(bits, 1);  // max_encodable() = 2^(62-bits)
+    const double unit = std::ldexp(1.0, -static_cast<int>(bits));
+    std::vector<double> values{0.0, -0.0};
+    // Ties, just off them, and the magnitudes around where a rint built on
+    // adding 2^52 changes behaviour.
+    for (const double scaled :
+         {0.5, 1.5, 2.5, 0.25, 0.75, 3.0, 0x1p51, 0x1p51 + 0.5, 0x1p51 + 1.5,
+          0x1p52, 0x1p52 - 0.5, 0x1p52 - 1.5, 0x1p52 + 2.0, 0x1p62}) {
+      values.push_back(scaled * unit);
+      values.push_back(-scaled * unit);
+    }
+    values.push_back(codec.max_encodable());
+    values.push_back(-codec.max_encodable());
+    values.push_back(std::nextafter(codec.max_encodable(), 0.0));
+    values.push_back(std::numeric_limits<double>::denorm_min());
+    values.push_back(-std::numeric_limits<double>::denorm_min());
+    Xoshiro256 rng(bits);
+    for (int i = 0; i < 40; ++i) {
+      values.push_back((rng.next_double() - 0.5) * 8.0);
+      // A random tie: an odd multiple of half a unit.
+      values.push_back(
+          (2.0 * static_cast<double>(rng.next() % 4096) - 4095.0) * unit / 2);
+    }
+    std::vector<std::uint64_t> oracle;
+    for (const double x : values) oracle.push_back(codec.encode(x));
+    for_each_isa([&] {
+      for (std::size_t n = 0; n <= values.size(); ++n) {
+        const std::span<const double> prefix(values.data(), n);
+        const std::vector<std::uint64_t> got = codec.encode_vector(prefix);
+        ASSERT_EQ(got.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(got[i], oracle[i]) << "n=" << n << " value " << values[i];
+      }
+      std::vector<std::uint64_t> words = oracle;
+      for (int i = 0; i < 64; ++i) words.push_back(rng.next());
+      words.push_back(std::uint64_t{1} << 63);
+      words.push_back(~std::uint64_t{0});
+      for (std::size_t n = 0; n <= words.size(); n += 7) {
+        const std::vector<double> got =
+            codec.decode_vector(std::span<const std::uint64_t>(words).first(n));
+        ASSERT_EQ(got.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                    std::bit_cast<std::uint64_t>(codec.decode(words[i])))
+              << "word " << words[i];
+      }
+    });
+  }
+}
+
+TEST(FixedPoint, VectorEncodeThrowsEncodesErrorForFirstBadValue) {
+  const FixedPointCodec codec(24, 64);
+  const double max = codec.max_encodable();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> good(37);
+  for (std::size_t i = 0; i < good.size(); ++i)
+    good[i] = static_cast<double>(i) - 18.25;
+  for (const double bad :
+       {std::nan(""), inf, -inf, 2.0 * max, -2.0 * max,
+        std::nextafter(max, inf)}) {
+    std::string expected;
+    try {
+      codec.encode(bad);
+    } catch (const NumericError& e) {
+      expected = e.what();
+    }
+    ASSERT_FALSE(expected.empty()) << bad;
+    for (const std::size_t at : {std::size_t{0}, good.size() / 2,
+                                 good.size() - 1}) {
+      std::vector<double> v = good;
+      v[at] = bad;
+      // A second, different bad value later must not be the one reported.
+      if (at + 1 < v.size()) v.back() = bad == -inf ? inf : -inf;
+      for_each_isa([&] {
+        try {
+          codec.encode_vector(v);
+          ADD_FAILURE() << "no throw for " << bad << " at " << at;
+        } catch (const NumericError& e) {
+          EXPECT_EQ(std::string(e.what()), expected) << bad << " at " << at;
+        }
+      });
+    }
+  }
 }
 
 TEST(FixedPoint, ParameterValidation) {

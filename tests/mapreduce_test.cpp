@@ -187,10 +187,10 @@ std::vector<std::uint32_t> prefix_crcs_at(linalg::Isa isa,
 }
 
 TEST(Crc32, PclmulMatchesSlicing) {
-  // At the AVX2 level crc32() folds len & ~15 bytes with PCLMULQDQ when
-  // len >= 64; the scalar level is slicing-by-8 only. Every length
-  // 0..1100 at every start offset 0..15, from two initial values, and
-  // chained splits must give the same CRC at both levels.
+  // At the AVX2 level and above crc32() folds len & ~15 bytes with
+  // PCLMULQDQ when len >= 64; the scalar level is slicing-by-8 only. Every
+  // length 0..1100 at every start offset 0..15, from two initial values,
+  // and chained splits must give the same CRC at every level.
   if (!linalg::isa_available(linalg::Isa::kAvx2))
     GTEST_SKIP() << "avx2 not available";
   Bytes buffer(16 + 1100);
@@ -211,6 +211,10 @@ TEST(Crc32, PclmulMatchesSlicing) {
             << seed;
       }
       EXPECT_EQ(avx2.back(), crc32_bytewise(data, seed));
+      if (linalg::isa_available(linalg::Isa::kAvx512)) {
+        EXPECT_EQ(prefix_crcs_at(linalg::Isa::kAvx512, data, seed), avx2)
+            << "offset " << offset << " seed " << seed;
+      }
     }
   }
   // Chained calls split at every position equal the one-shot CRC: the
@@ -595,7 +599,8 @@ TEST(BlockStoreSpill, BlockLargerThanBudgetSpillsImmediately) {
 TEST(BlockStoreSpill, UnlimitedBudgetNeverSpills) {
   BlockStore store(budgeted(1, 0));
   for (std::uint8_t i = 0; i < 8; ++i)
-    store.put("b" + std::to_string(i), pattern_bytes(4096, i), {0});
+    store.put(std::string("b") + std::to_string(i), pattern_bytes(4096, i),
+              {0});
   const SpillStats stats = store.spill_stats();
   EXPECT_EQ(stats.spilled_blocks, 0u);
   EXPECT_EQ(stats.mapped_reads, 0u);
@@ -876,7 +881,8 @@ TEST(IterativeJob, SpilledShardsAreBitIdenticalToAllInRam) {
                      3.5;
       w.put_double_vector(payload);
       const BlockId block =
-          cluster.store_shard("s" + std::to_string(i), w.take(), i);
+          cluster.store_shard(std::string("s") + std::to_string(i), w.take(),
+                              i);
       job.add_mapper(std::make_shared<ShardCrcMapper>(block), block);
     }
     auto reducer = std::make_shared<SummingReducer>(2);

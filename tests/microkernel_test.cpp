@@ -78,6 +78,8 @@ const Shape kShapes[] = {
     {8, 16, 8}, {17, 9, 13}, {65, 257, 31}, {33, 64, 66},
 };
 const std::uint64_t kSeeds[] = {11, 29, 47};
+// Every dispatch level; the loops skip the ones this machine cannot run.
+const Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
 
 class MicrokernelIdentity : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -86,7 +88,7 @@ TEST_P(MicrokernelIdentity, GemmMatchesNaiveOnEveryIsa) {
     const Matrix a = random_matrix(s.m, s.k, GetParam());
     const Matrix b = random_matrix(s.k, s.n, GetParam() ^ 0xabcdULL);
     const Matrix oracle = linalg::gemm_naive(a, b);
-    for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
+    for (Isa isa : kAllIsas) {
       ScopedIsa pin(isa);
       if (!pin.available()) continue;
       expect_matrices_identical(linalg::gemm(a, b), oracle);
@@ -99,7 +101,7 @@ TEST_P(MicrokernelIdentity, GemmNtMatchesNaiveOnEveryIsa) {
     const Matrix a = random_matrix(s.m, s.k, GetParam());
     const Matrix b = random_matrix(s.n, s.k, GetParam() ^ 0x77ULL);
     const Matrix oracle = linalg::gemm_nt_naive(a, b);
-    for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
+    for (Isa isa : kAllIsas) {
       ScopedIsa pin(isa);
       if (!pin.available()) continue;
       expect_matrices_identical(linalg::gemm_nt(a, b), oracle);
@@ -119,7 +121,7 @@ TEST_P(MicrokernelIdentity, SyrkAndGramsMatchScalarOnEveryIsa) {
       gram_scalar = linalg::gram_at_a(a);
       gemv_scalar = linalg::gemv(a, x);
     }
-    for (Isa isa : {Isa::kAvx2}) {
+    for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
       ScopedIsa pin(isa);
       if (!pin.available()) continue;
       expect_matrices_identical(linalg::syrk(a), syrk_scalar);
@@ -148,7 +150,7 @@ TEST_P(MicrokernelIdentity, KernelRowsMatchPairwiseOracleOnEveryIsa) {
       Vector oracle(b.rows());
       for (std::size_t r = 0; r < b.rows(); ++r)
         oracle[r] = kernel(x, b.row(r));
-      for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
+      for (Isa isa : kAllIsas) {
         ScopedIsa pin(isa);
         if (!pin.available()) continue;
         const Vector got = svm::kernel_row(kernel, x, b);
@@ -175,7 +177,7 @@ TEST_P(MicrokernelIdentity, RankUpdateMatchesPerElementOracleOnEveryIsa) {
       for (std::size_t p = 0; p < s.k; ++p) acc += a[p] * x[p * ldx + j];
       oracle[j] = acc;
     }
-    for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
+    for (Isa isa : kAllIsas) {
       ScopedIsa pin(isa);
       if (!pin.available()) continue;
       Vector y = y0;
@@ -211,6 +213,27 @@ TEST(MicrokernelDispatch, ForceIsaPinsTheActiveTable) {
     EXPECT_STREQ(linalg::active_isa_name(), "avx2");
     EXPECT_EQ(linalg::microkernels().isa, Isa::kAvx2);
   }
+  if (linalg::isa_available(Isa::kAvx512)) {
+    ScopedIsa pin(Isa::kAvx512);
+    EXPECT_EQ(linalg::active_isa(), Isa::kAvx512);
+    EXPECT_STREQ(linalg::active_isa_name(), "avx512");
+    EXPECT_EQ(linalg::microkernels().isa, Isa::kAvx512);
+    // The level runs the AVX2 linalg kernels under its own name.
+    ASSERT_TRUE(linalg::isa_available(Isa::kAvx2));
+    const linalg::Microkernels& avx512 = linalg::microkernels();
+    ScopedIsa avx2(Isa::kAvx2);
+    EXPECT_EQ(avx512.axpy, linalg::microkernels().axpy);
+    EXPECT_EQ(avx512.dot_rows, linalg::microkernels().dot_rows);
+    EXPECT_EQ(avx512.sqdist_rows, linalg::microkernels().sqdist_rows);
+    EXPECT_EQ(avx512.rank_update, linalg::microkernels().rank_update);
+  }
+}
+
+TEST(MicrokernelDispatch, DetectedIsaIsTheHighestAvailable) {
+  for (Isa isa : kAllIsas)
+    if (linalg::isa_available(isa)) {
+      EXPECT_GE(linalg::detected_isa(), isa) << linalg::isa_name(isa);
+    }
 }
 
 TEST(MicrokernelDispatch, ClearRestoresAutomaticResolution) {
@@ -236,20 +259,29 @@ TEST(MicrokernelDispatch, EnvOverrideIsHonored) {
 }
 
 TEST(MicrokernelDispatch, ForceUnavailableIsaThrows) {
-  if (linalg::isa_available(Isa::kAvx2))
-    GTEST_SKIP() << "avx2 available here; nothing is unavailable to force";
-  EXPECT_THROW(linalg::force_isa(Isa::kAvx2), InvalidArgument);
+  bool any_unavailable = false;
+  for (Isa isa : kAllIsas)
+    if (!linalg::isa_available(isa)) {
+      any_unavailable = true;
+      EXPECT_THROW(linalg::force_isa(isa), InvalidArgument)
+          << linalg::isa_name(isa);
+    }
+  if (!any_unavailable)
+    GTEST_SKIP() << "every level runs here; nothing is unavailable to force";
 }
 
 TEST(MicrokernelDispatch, ParseIsaRoundTrips) {
   EXPECT_EQ(linalg::parse_isa("scalar"), Isa::kScalar);
   EXPECT_EQ(linalg::parse_isa("avx2"), Isa::kAvx2);
+  EXPECT_EQ(linalg::parse_isa("avx512"), Isa::kAvx512);
   EXPECT_EQ(linalg::parse_isa("neon"), std::nullopt);
+  EXPECT_EQ(linalg::parse_isa("avx512f"), std::nullopt);
   EXPECT_EQ(linalg::parse_isa(""), std::nullopt);
   EXPECT_STREQ(linalg::isa_name(Isa::kScalar), "scalar");
   EXPECT_STREQ(linalg::isa_name(Isa::kAvx2), "avx2");
-  EXPECT_EQ(linalg::parse_isa(linalg::isa_name(Isa::kScalar)), Isa::kScalar);
-  EXPECT_EQ(linalg::parse_isa(linalg::isa_name(Isa::kAvx2)), Isa::kAvx2);
+  EXPECT_STREQ(linalg::isa_name(Isa::kAvx512), "avx512");
+  for (Isa isa : kAllIsas)
+    EXPECT_EQ(linalg::parse_isa(linalg::isa_name(isa)), isa);
 }
 
 }  // namespace

@@ -572,14 +572,16 @@ TEST(Metrics, CsvCarriesQuantileAndPartyRows) {
 TEST(FlightRecorder, RingWrapsAtCapacityKeepingNewest) {
   FlightRecorder recorder(8);
   for (int i = 0; i < 20; ++i)
-    recorder.record(FlightEventKind::kMark, "e" + std::to_string(i),
+    recorder.record(FlightEventKind::kMark,
+                    std::string("e") + std::to_string(i),
                     static_cast<double>(i));
   EXPECT_EQ(recorder.recorded(), 20u);
   const auto events = recorder.snapshot();
   ASSERT_EQ(events.size(), 8u);
   for (std::size_t k = 0; k < events.size(); ++k) {
     EXPECT_EQ(events[k].seq, 12 + k);  // oldest surviving first
-    EXPECT_EQ(std::string(events[k].label), "e" + std::to_string(12 + k));
+    EXPECT_EQ(std::string(events[k].label),
+              std::string("e") + std::to_string(12 + k));
   }
 }
 

@@ -650,34 +650,71 @@ TEST_P(DiagonalQpOracle, NanInP) {
   EXPECT_EQ(serial_passes_ - before, evaluations);
 }
 
+/// The reducer's dual on lv-m8-fabric: n = 20 000, d = M/rho = 0.08,
+/// C = 50, delta = 0, p = 1 - y q.
+DiagonalQpProblem lv_reducer_problem(std::mt19937_64& rng,
+                                     std::normal_distribution<double>& normal) {
+  const std::size_t n = 20000;
+  DiagonalQpProblem problem;
+  problem.d.assign(n, 0.08);
+  problem.y.resize(n);
+  problem.p.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    problem.y[i] = (rng() & 1) != 0 ? 1.0 : -1.0;
+    const double q = problem.y[i] * 0.8 + 1.5 * normal(rng);
+    problem.p[i] = 1.0 - problem.y[i] * q;
+  }
+  problem.c = 50.0;
+  return problem;
+}
+
 TEST_P(DiagonalQpOracle, LinearVerticalReducerShape) {
-  // The reducer's dual on lv-m8-fabric: n = 20 000, d = M/rho = 0.08,
-  // C = 50, delta = 0, p = 1 - y q.
   std::mt19937_64 rng(0x1F8);
   std::normal_distribution<double> normal;
-  const std::size_t n = 20000;
-  for (int k = 0; k < 3; ++k) {
-    DiagonalQpProblem problem;
-    problem.d.assign(n, 0.08);
-    problem.y.resize(n);
-    problem.p.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      problem.y[i] = (rng() & 1) != 0 ? 1.0 : -1.0;
-      const double q = problem.y[i] * 0.8 + 1.5 * normal(rng);
-      problem.p[i] = 1.0 - problem.y[i] * q;
-    }
-    problem.c = 50.0;
-    expect_matches_reference(problem, "lv " + std::to_string(k));
-  }
+  for (int k = 0; k < 3; ++k)
+    expect_matches_reference(lv_reducer_problem(rng, normal),
+                             "lv " + std::to_string(k));
   expect_serial_share();
 }
 
 INSTANTIATE_TEST_SUITE_P(Isa, DiagonalQpOracle,
                          ::testing::Values(linalg::Isa::kScalar,
-                                           linalg::Isa::kAvx2),
+                                           linalg::Isa::kAvx2,
+                                           linalg::Isa::kAvx512),
                          [](const auto& info) {
                            return std::string(linalg::isa_name(info.param));
                          });
+
+TEST(DiagonalQpIsa, Avx512DecidesLikeAvx2) {
+  // The avx512 level runs the same AVX2 fast pass: lv-shaped solves take
+  // the same serial passes and return the same bits at both pins.
+  if (!linalg::isa_available(linalg::Isa::kAvx512))
+    GTEST_SKIP() << "avx512 not available";
+  std::mt19937_64 rng(0x1F8);
+  std::normal_distribution<double> normal;
+  for (int k = 0; k < 3; ++k) {
+    const DiagonalQpProblem problem = lv_reducer_problem(rng, normal);
+    std::int64_t passes[2];
+    Result results[2];
+    for (const linalg::Isa isa : {linalg::Isa::kAvx2, linalg::Isa::kAvx512}) {
+      const int at = isa == linalg::Isa::kAvx2 ? 0 : 1;
+      linalg::force_isa(isa);
+      obs::MetricsRegistry metrics;
+      {
+        obs::Session session(nullptr, &metrics);
+        results[at] = solve_diagonal_qp(problem);
+      }
+      passes[at] = metrics.counter("qp.diagonal.serial_passes");
+    }
+    linalg::clear_forced_isa();
+    EXPECT_EQ(passes[1], passes[0]) << "problem " << k;
+    ASSERT_EQ(results[1].x.size(), results[0].x.size());
+    for (std::size_t i = 0; i < results[0].x.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(results[1].x[i]),
+                std::bit_cast<std::uint64_t>(results[0].x[i]))
+          << "problem " << k << " i=" << i;
+  }
+}
 
 // ---------------------------------------------------------- kernel cache
 

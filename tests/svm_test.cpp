@@ -80,8 +80,8 @@ TEST(Gram, ExactlySymmetricForEveryKernelAtBothIsaLevels) {
   // (linalg::symv_lower reads K(i,k), k > i, as K(k,i)). Sizes cross the
   // 4-lane SIMD groups and syrk's 64-row blocks.
   std::vector<linalg::Isa> isas = {linalg::Isa::kScalar};
-  if (linalg::isa_available(linalg::Isa::kAvx2))
-    isas.push_back(linalg::Isa::kAvx2);
+  for (const linalg::Isa isa : {linalg::Isa::kAvx2, linalg::Isa::kAvx512})
+    if (linalg::isa_available(isa)) isas.push_back(isa);
   const Kernel kernels[] = {Kernel::linear(), Kernel::polynomial(3, 0.5, 1.0),
                             Kernel::rbf(0.3), Kernel::sigmoid(0.1, -0.2)};
   std::mt19937_64 rng(17);
