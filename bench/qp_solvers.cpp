@@ -32,7 +32,7 @@
 #include "obs/report.h"
 #include "qp/box_qp.h"
 #include "qp/diagonal_qp.h"
-#include "qp/projected_gradient.h"
+#include "tests/projected_gradient.h"
 #include "qp/smo.h"
 #include "svm/kernel.h"
 

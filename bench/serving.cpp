@@ -3,8 +3,9 @@
 // Four scenarios over models trained once on the cancer substitute:
 //   1. micro-batch sweep (linear): max_batch 1 / 8 / 64 at a fixed offered
 //      rate — the p99-vs-QPS trade the serving layer exists for;
-//   2. kernel-row reuse: a bounded pool of distinct query points cycled
-//      across many batches, pinning the cross-batch KernelCache hit rate;
+//   2. score reuse: a bounded pool of distinct query points cycled across
+//      many batches, pinning the cross-batch hit rate of the per-learner
+//      partial-score cache;
 //   3. admission overload: 2x the configured sustainable rate — the server
 //      must shed deterministically, not queue unboundedly or crash;
 //   4. one instrumented run: serve.* span stats and counters for the
@@ -186,12 +187,12 @@ int run(std::size_t queries) {
   }
   report.set("linear_batch_sweep", std::move(sweep));
 
-  // --- 2. kernel-row reuse across batches ---------------------------------
+  // --- 2. partial-score reuse across batches -------------------------------
   {
     const std::size_t kernel_queries =
         std::max<std::size_t>(queries / 4, 500);
     const std::size_t distinct = 64;
-    std::printf("\n## Kernel-row reuse: %zu queries cycling %zu points\n",
+    std::printf("\n## Score reuse: %zu queries cycling %zu points\n",
                 kernel_queries, distinct);
     core::ServingConfig config;
     config.max_batch = 32;

@@ -110,7 +110,7 @@ void usage() {
       "  --serve-rate R     per-client admitted qps, 0 = no admission\n"
       "                     control (default 0)\n"
       "  --serve-clients K  simulated clients (default 4)\n"
-      "  --serve-cache S    kernel-row cache slots, kernel-v only\n"
+      "  --serve-cache S    score-cache query slots, kernel-v only\n"
       "                     (default 128, 0 disables)\n"
       "  --save PATH        write the trained model (horizontal schemes)\n"
       "  --trace PATH       write a Chrome trace_event JSON (open in Perfetto)\n"
@@ -290,7 +290,7 @@ void run_serving(const ModelView& model, const core::AdmmParams& params,
               wall == 0.0 ? 0.0 : static_cast<double>(s.served) / wall,
               quantile_ms(0.50), quantile_ms(0.95), quantile_ms(0.99));
   if (server.is_kernel() && options.serve_cache > 0)
-    std::printf("serve: kernel-row cache hit rate %.4f (%lld hits, %zu "
+    std::printf("serve: score cache hit rate %.4f (%lld hits, %zu "
                 "bypassed queries)\n",
                 server.cache_hit_rate(),
                 static_cast<long long>(server.cache_hits()), s.cache_bypass);

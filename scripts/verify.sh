@@ -62,8 +62,8 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/core_vertical_test
 ./build-asan/tests/consensus_engine_test
 ./build-asan/tests/async_consensus_test
 ./build-asan/tests/grouped_ring_test
-# serving_test drives spans and flows into deque/LRU-managed storage while
-# batches recycle KernelCache rows — prime ASan territory.
+# serving_test drives spans and flows into deque-managed storage while
+# batches read back cached per-slot scores — prime ASan territory.
 ./build-asan/tests/serving_test
 # privacy_ledger_test injects pad replay and Shamir over-exposure: the
 # ledger's lock-free slot table and the check-failure flight dump run under

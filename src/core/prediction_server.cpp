@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
-#include "linalg/blas.h"
 #include "obs/obs.h"
-#include "svm/kernel.h"
 
 namespace ppml::core {
 
@@ -18,18 +17,16 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// FNV-1a over the query's byte image: slot lookup must be exact (a near
-// match would serve the wrong cached kernel row), so hashing the bits and
-// confirming with element equality is the right tool.
+// One multiply-xorshift step per feature over its bit pattern: slot lookup
+// must be exact (a near match would serve the wrong cached score), so
+// hashing the bits and confirming with element equality is the right tool.
 std::uint64_t hash_query(std::span<const double> x) {
   std::uint64_t h = 1469598103934665603ULL;
   for (double v : x) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (bits >> shift) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
+    h = (h ^ bits) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
   }
   return h;
 }
@@ -77,28 +74,6 @@ void PredictionServer::init(const AdmmParams& protocol) {
   session_ = std::make_unique<crypto::SecureSumSession>(
       prediction_session_config(num_learners_, protocol));
 
-  if (is_kernel() && config_.cache_slots > 0) {
-    const auto& kernel = std::get<VerticalKernelModelView>(model_);
-    pool_.reserve(config_.cache_slots);
-    row_caches_.reserve(num_learners_);
-    for (std::size_t m = 0; m < num_learners_; ++m) {
-      const std::size_t row_len = kernel.train_blocks[m].rows();
-      row_caches_.push_back(std::make_unique<qp::KernelCache>(
-          config_.cache_slots,
-          [this, m](std::size_t slot, std::span<double> out) {
-            const auto& model = std::get<VerticalKernelModelView>(model_);
-            const auto& idx = model.feature_indices[m];
-            std::vector<double> projected(idx.size());
-            for (std::size_t j = 0; j < idx.size(); ++j)
-              projected[j] = pool_[slot][idx[j]];
-            const Vector krow = svm::kernel_row(model.kernel, projected,
-                                                model.train_blocks[m]);
-            std::copy(krow.begin(), krow.end(), out.begin());
-          },
-          /*budget_bytes=*/0, row_len));
-    }
-  }
-
   // Occupancy is a small-integer distribution; the default decade buckets
   // would collapse everything between 1 and max_batch into two bins. Only
   // takes effect when the metrics session is installed before the server
@@ -138,15 +113,18 @@ bool PredictionServer::admit_rate(std::uint64_t client_id, double now) {
 }
 
 std::size_t PredictionServer::resolve_slot(std::span<const double> x) {
-  if (row_caches_.empty()) return kNoSlot;
+  if (config_.cache_slots == 0 || !is_kernel()) return kNoSlot;
   const std::uint64_t h = hash_query(x);
-  std::vector<std::size_t>& bucket = slot_by_hash_[h];
-  for (std::size_t slot : bucket)
-    if (same_query(pool_[slot], x)) return slot;
+  const auto it = slot_by_hash_.find(h);
+  if (it != slot_by_hash_.end())
+    for (std::size_t slot : it->second)
+      if (same_query(pool_[slot], x)) return slot;
   if (pool_.size() >= config_.cache_slots) return kNoSlot;  // pool full
   const std::size_t slot = pool_.size();
   pool_.emplace_back(x.begin(), x.end());
-  bucket.push_back(slot);
+  slot_scores_.resize(pool_.size() * num_learners_);
+  slot_scored_.push_back(0);
+  slot_by_hash_[h].push_back(slot);
   return slot;
 }
 
@@ -159,6 +137,11 @@ AdmissionOutcome PredictionServer::submit(std::uint64_t client_id,
   else
     PPML_CHECK(x.size() == dim_,
                "PredictionServer::submit: query dimension mismatch");
+  // A non-finite feature would make the batch's fixed-point encode throw on
+  // every flush, wedging every query queued with it: refuse it here.
+  PPML_CHECK(std::all_of(x.begin(), x.end(),
+                         [](double v) { return std::isfinite(v); }),
+             "PredictionServer::submit: non-finite query feature");
   ++stats_.submitted;
 
   // Queue-depth shed first: a query the server cannot hold should not burn
@@ -182,7 +165,7 @@ AdmissionOutcome PredictionServer::submit(std::uint64_t client_id,
   p.x.assign(x.begin(), x.end());
   p.submit_time = now;
   p.slot = resolve_slot(x);
-  if (is_kernel() && !row_caches_.empty() && p.slot == kNoSlot) {
+  if (is_kernel() && config_.cache_slots > 0 && p.slot == kNoSlot) {
     ++stats_.cache_bypass;
     obs::count("serve.cache.bypass");
   }
@@ -226,42 +209,38 @@ std::vector<linalg::Vector> PredictionServer::batch_partials(
       partials.push_back(linear_partial_scores(*linear, batch_x, m));
     return partials;
   }
+  // Every score is kernel_partial_score, the function the per-query path
+  // sums, so the decision values cannot diverge. A pooled query's scores
+  // are computed by the first batch that holds its slot and read back
+  // afterwards; a bypass query (or a server without a pool) computes its
+  // scores every time.
   const auto& model = std::get<VerticalKernelModelView>(model_);
-  if (row_caches_.empty()) {
-    for (std::size_t m = 0; m < num_learners_; ++m)
-      partials.push_back(kernel_partial_scores(model, batch_x, m));
-    return partials;
-  }
-  // Cached path: pooled queries fetch their (query, support-vector) kernel
-  // rows in one bulk prefetch per learner; bypass queries compute theirs
-  // inline. Both run the same projected -> kernel_row -> dot pipeline as
-  // kernel_partial_scores, so the decision values cannot diverge.
-  std::vector<std::size_t> pooled;  // batch positions that hold a pool slot
-  std::vector<std::size_t> pooled_slots;
-  for (std::size_t i = 0; i < batch_x.rows(); ++i) {
-    if (slots[i] == kNoSlot) continue;
-    pooled.push_back(i);
-    pooled_slots.push_back(slots[i]);
-  }
-  for (std::size_t m = 0; m < num_learners_; ++m) {
-    const auto& idx = model.feature_indices[m];
-    Vector partial(batch_x.rows(), 0.0);
-    linalg::Matrix rows(pooled.size(), row_caches_[m]->row_length());
-    const auto batch = row_caches_[m]->fill_rows(pooled_slots, rows);
-    cache_hits_ += batch.hits;
-    cache_misses_ += batch.misses;
-    for (std::size_t j = 0; j < pooled.size(); ++j)
-      partial[pooled[j]] = linalg::dot(rows.row(j), model.alphas[m]);
-    std::vector<double> projected(idx.size());
-    for (std::size_t i = 0; i < batch_x.rows(); ++i) {
-      if (slots[i] != kNoSlot) continue;
-      for (std::size_t j = 0; j < idx.size(); ++j)
-        projected[j] = batch_x(i, idx[j]);
-      const Vector krow =
-          svm::kernel_row(model.kernel, projected, model.train_blocks[m]);
-      partial[i] = linalg::dot(krow, model.alphas[m]);
+  const std::size_t count = batch_x.rows();
+  partials.assign(num_learners_, Vector(count, 0.0));
+  std::int64_t hits = 0, misses = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t slot = slots[i];
+    if (slot == kNoSlot) {
+      for (std::size_t m = 0; m < num_learners_; ++m)
+        partials[m][i] = kernel_partial_score(model, batch_x.row(i), m);
+      continue;
     }
-    partials.push_back(std::move(partial));
+    double* scores = &slot_scores_[slot * num_learners_];
+    if (slot_scored_[slot]) {
+      hits += static_cast<std::int64_t>(num_learners_);
+    } else {
+      for (std::size_t m = 0; m < num_learners_; ++m)
+        scores[m] = kernel_partial_score(model, pool_[slot], m);
+      slot_scored_[slot] = 1;
+      misses += static_cast<std::int64_t>(num_learners_);
+    }
+    for (std::size_t m = 0; m < num_learners_; ++m) partials[m][i] = scores[m];
+  }
+  if (hits + misses > 0) {
+    cache_hits_ += hits;
+    cache_misses_ += misses;
+    obs::count("serve.cache.hits", hits);
+    obs::count("serve.cache.misses", misses);
   }
   return partials;
 }
@@ -340,17 +319,9 @@ void PredictionServer::flush_batch(std::size_t count, double now,
   stats_.served += count;
 }
 
-std::int64_t PredictionServer::cache_hits() const noexcept {
-  return cache_hits_;
-}
-
-std::int64_t PredictionServer::cache_misses() const noexcept {
-  return cache_misses_;
-}
-
 double PredictionServer::cache_hit_rate() const noexcept {
-  const std::int64_t total = cache_hits() + cache_misses();
-  return total == 0 ? 0.0 : static_cast<double>(cache_hits()) / total;
+  const std::int64_t total = cache_hits_ + cache_misses_;
+  return total == 0 ? 0.0 : static_cast<double>(cache_hits_) / total;
 }
 
 }  // namespace ppml::core

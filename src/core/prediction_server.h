@@ -14,9 +14,9 @@
 //   * the session is built ONCE and reused for every batch — key agreement
 //     is paid at construction, each batch draws a fresh protocol round
 //     from `SecureSumSession::next_round` (mask streams are never reused);
-//   * kernel rows for popular query points are recycled ACROSS batches
-//     through per-learner `qp::KernelCache` instances over the rectangular
-//     (query pool) x (support vectors) block.
+//   * for kernel models, each learner's partial score of a popular query
+//     point is computed once and read back in later batches: the served
+//     model and the pooled query are both immutable, so the score is too.
 //
 // Admission control is a per-client token bucket plus a global pending
 // bound, with explicit outcomes (serve / shed): overload sheds queries
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "core/secure_prediction.h"
-#include "qp/kernel_cache.h"
 
 namespace ppml::core {
 
@@ -66,11 +65,11 @@ struct ServingConfig {
   /// is not keeping up with its drive loop). 0 = unbounded.
   std::size_t max_queue_depth = 0;
 
-  // --- kernel-row reuse (kernel models only) ------------------------------
-  /// Distinct query points whose kernel rows may be cached across batches
-  /// (the pool dimension of the per-learner `qp::KernelCache`). 0 disables
-  /// caching; every query then re-evaluates its kernel rows. Every pooled
-  /// row fits: the per-learner row cache has no byte budget.
+  // --- score reuse (kernel models only) -----------------------------------
+  /// Distinct query points whose per-learner partial scores are kept across
+  /// batches (one double per learner per slot). 0 disables caching; every
+  /// query then re-evaluates its kernel rows. Slots are handed out in
+  /// first-seen order and never evicted; later new points bypass the pool.
   std::size_t cache_slots = 0;
 };
 
@@ -151,11 +150,11 @@ class PredictionServer {
   std::size_t num_learners() const noexcept { return num_learners_; }
   bool is_kernel() const noexcept;
 
-  /// Kernel-row cache tallies summed over the per-learner caches (all zero
-  /// for linear models or cache_slots == 0). Hit rate counts row fetches:
-  /// one per (query, learner) pair that went through the pool.
-  std::int64_t cache_hits() const noexcept;
-  std::int64_t cache_misses() const noexcept;
+  /// Score-cache tallies (all zero for linear models or cache_slots == 0):
+  /// one count per (query, learner) pair that went through the pool — a
+  /// miss computes the learner's partial score, a hit reads it back.
+  std::int64_t cache_hits() const noexcept { return cache_hits_; }
+  std::int64_t cache_misses() const noexcept { return cache_misses_; }
   double cache_hit_rate() const noexcept;
 
  private:
@@ -199,17 +198,14 @@ class PredictionServer {
   std::uint64_t next_query_id_ = 1;
   ServingStats stats_;
 
-  // Kernel-row reuse: one rectangular cache per learner over a shared pool
-  // of distinct query points. pool_[s] is immutable once a slot is
-  // assigned, so each cache's evaluator stays a pure function of the slot.
+  // Score reuse: a pool of distinct query points shared by all learners.
+  // pool_[s] is immutable once slot s is assigned, so learner m's partial
+  // score of it, slot_scores_[s * num_learners_ + m], never changes; it is
+  // computed by the first batch that holds slot s (slot_scored_[s] != 0).
   std::vector<Vector> pool_;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> slot_by_hash_;
-  std::vector<std::unique_ptr<qp::KernelCache>> row_caches_;
-
-  // Running totals of the per-batch BatchStats returned by
-  // KernelCache::fill_rows. Every cache touch goes through fill_rows (which
-  // drains the caches' own counters into the obs session per batch), so
-  // these are the authoritative tallies behind cache_hits()/cache_misses().
+  std::vector<double> slot_scores_;
+  std::vector<std::uint8_t> slot_scored_;
   std::int64_t cache_hits_ = 0;
   std::int64_t cache_misses_ = 0;
 };

@@ -74,19 +74,23 @@ Vector linear_partial_scores(const VerticalLinearModelView& model,
   return partial;
 }
 
+double kernel_partial_score(const VerticalKernelModelView& model,
+                            std::span<const double> x_full,
+                            std::size_t learner) {
+  const auto& idx = model.feature_indices[learner];
+  std::vector<double> projected(idx.size());
+  for (std::size_t j = 0; j < idx.size(); ++j) projected[j] = x_full[idx[j]];
+  const Vector krow =
+      svm::kernel_row(model.kernel, projected, model.train_blocks[learner]);
+  return linalg::dot(krow, model.alphas[learner]);
+}
+
 Vector kernel_partial_scores(const VerticalKernelModelView& model,
                              const linalg::Matrix& x_full,
                              std::size_t learner) {
-  const auto& idx = model.feature_indices[learner];
   Vector partial(x_full.rows(), 0.0);
-  std::vector<double> projected(idx.size());
-  for (std::size_t i = 0; i < x_full.rows(); ++i) {
-    for (std::size_t j = 0; j < idx.size(); ++j)
-      projected[j] = x_full(i, idx[j]);
-    const Vector krow =
-        svm::kernel_row(model.kernel, projected, model.train_blocks[learner]);
-    partial[i] = linalg::dot(krow, model.alphas[learner]);
-  }
+  for (std::size_t i = 0; i < x_full.rows(); ++i)
+    partial[i] = kernel_partial_score(model, x_full.row(i), learner);
   return partial;
 }
 

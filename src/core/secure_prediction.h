@@ -41,6 +41,12 @@ Vector linear_partial_scores(const VerticalLinearModelView& model,
 Vector kernel_partial_scores(const VerticalKernelModelView& model,
                              const linalg::Matrix& x_full, std::size_t learner);
 
+/// One row of kernel_partial_scores: learner `m`'s score of one full query
+/// row. PredictionServer caches exactly this value per pooled query.
+double kernel_partial_score(const VerticalKernelModelView& model,
+                            std::span<const double> x_full,
+                            std::size_t learner);
+
 /// One secure-sum round `round` over the per-learner partial-score vectors
 /// on an existing session; adds the bias. The decoded values are
 /// bit-identical for ANY round number and ANY batching of the same

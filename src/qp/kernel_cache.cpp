@@ -9,12 +9,10 @@ namespace ppml::qp {
 
 namespace {
 
-std::size_t capacity_from_budget(std::size_t n, std::size_t row_len,
-                                 std::size_t budget_bytes) {
+std::size_t capacity_from_budget(std::size_t n, std::size_t budget_bytes) {
   if (n == 0) return 0;
   if (budget_bytes == 0) return n;  // unlimited: every row fits
-  const std::size_t row_bytes = row_len * sizeof(double);
-  const std::size_t fit = row_bytes == 0 ? n : budget_bytes / row_bytes;
+  const std::size_t fit = budget_bytes / (n * sizeof(double));
   // At least two rows so an SMO step can hold rows i and j simultaneously.
   return std::clamp(fit, std::min<std::size_t>(2, n), n);
 }
@@ -22,11 +20,10 @@ std::size_t capacity_from_budget(std::size_t n, std::size_t row_len,
 }  // namespace
 
 KernelCache::KernelCache(std::size_t n, RowEvaluator evaluator,
-                         std::size_t budget_bytes, std::size_t row_length)
+                         std::size_t budget_bytes)
     : n_(n),
-      row_len_(row_length == 0 ? n : row_length),
       evaluator_(std::move(evaluator)),
-      capacity_(capacity_from_budget(n, row_len_, budget_bytes)),
+      capacity_(capacity_from_budget(n, budget_bytes)),
       slot_(n, lru_.end()) {
   PPML_CHECK(static_cast<bool>(evaluator_),
              "KernelCache: evaluator must be callable");
@@ -40,7 +37,7 @@ std::span<const double> KernelCache::row(std::size_t i) {
   if (it != lru_.end()) {
     ++hits_;
     lru_.splice(lru_.begin(), lru_, it);  // move to front; iterators stable
-    return {it->data.data(), row_len_};
+    return {it->data.data(), n_};
   }
   ++misses_;
   if (resident_ >= capacity_) {
@@ -50,28 +47,12 @@ std::span<const double> KernelCache::row(std::size_t i) {
     --resident_;
     ++evictions_;
   }
-  lru_.push_front(Entry{i, Vector(row_len_)});
+  lru_.push_front(Entry{i, Vector(n_)});
   ++resident_;
   slot_[i] = lru_.begin();
   Entry& entry = lru_.front();
-  evaluator_(i, {entry.data.data(), row_len_});
-  return {entry.data.data(), row_len_};
-}
-
-KernelCache::BatchStats KernelCache::fill_rows(
-    std::span<const std::size_t> indices, linalg::Matrix& out) {
-  PPML_CHECK(out.rows() == indices.size() && out.cols() == row_len_,
-             "KernelCache::fill_rows: out must be indices.size() x "
-             "row_length()");
-  const BatchStats before{hits_, misses_, evictions_};
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    const auto src = row(indices[j]);
-    std::copy(src.begin(), src.end(), out.row(j).begin());
-  }
-  const BatchStats batch{hits_ - before.hits, misses_ - before.misses,
-                         evictions_ - before.evictions};
-  flush_stats();
-  return batch;
+  evaluator_(i, {entry.data.data(), n_});
+  return {entry.data.data(), n_};
 }
 
 double KernelCache::hit_rate() const noexcept {

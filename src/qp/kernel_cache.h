@@ -9,12 +9,6 @@
 // variables — so even a small budget gets high hit rates (see
 // docs/performance.md, "Cache budget sizing").
 //
-// The implicit matrix need not be square: the serving layer
-// (core/prediction_server.h) caches rows of the (query pool) x (support
-// vectors) cross-kernel block, so popular queries re-use their kernel row
-// across micro-batches. Pass `row_length` for a rectangular n x row_length
-// matrix; the default 0 keeps the historical square n x n shape.
-//
 // Guarantees relied on by the SMO step (which holds rows i and j at once):
 //  - each cached row owns its storage, so evicting one row never moves or
 //    invalidates another row's span;
@@ -39,7 +33,7 @@ using linalg::Vector;
 
 class KernelCache {
  public:
-  /// Fills `out` (length row_length()) with row i of the implicit matrix.
+  /// Fills `out` (length n) with row i of the implicit matrix.
   /// Must be a pure function of i: the cache assumes re-evaluating a row
   /// reproduces it bit-for-bit.
   using RowEvaluator = std::function<void(std::size_t, std::span<double>)>;
@@ -49,11 +43,9 @@ class KernelCache {
   /// @param budget_bytes  cache budget; 0 means "unlimited" (all n rows fit,
   ///                      equivalent to a lazily-built dense matrix). A
   ///                      nonzero budget is converted to a row capacity of
-  ///                      clamp(budget / (row_length * 8), min(2, n), n).
-  /// @param row_length    columns of the implicit matrix; 0 = n (square,
-  ///                      the SMO Q-matrix shape)
+  ///                      clamp(budget / (n * 8), min(2, n), n).
   KernelCache(std::size_t n, RowEvaluator evaluator,
-              std::size_t budget_bytes = 0, std::size_t row_length = 0);
+              std::size_t budget_bytes = 0);
   ~KernelCache();
 
   KernelCache(const KernelCache&) = delete;
@@ -64,27 +56,7 @@ class KernelCache {
   /// other rows.
   std::span<const double> row(std::size_t i);
 
-  /// Per-batch traffic breakdown returned by fill_rows().
-  struct BatchStats {
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t evictions = 0;
-  };
-
-  /// Bulk fill: copies rows `indices[j]` into `out.row(j)` for every j,
-  /// going through the same hit/miss/evict machinery as row(). Because the
-  /// results are copied out, the batch can be arbitrarily larger than
-  /// capacity_rows() — a fetched row only has to survive its own copy, not
-  /// the whole batch. Flushes the stat counters before returning so
-  /// `qp.cache.*` stays exact per batch even when the cache outlives the
-  /// caller's obs session (the batch is often the last cache touch before
-  /// session teardown); the returned BatchStats carries this batch's
-  /// traffic for callers that keep their own running totals.
-  BatchStats fill_rows(std::span<const std::size_t> indices,
-                       linalg::Matrix& out);
-
   std::size_t size() const noexcept { return n_; }
-  std::size_t row_length() const noexcept { return row_len_; }
   std::size_t capacity_rows() const noexcept { return capacity_; }
   std::size_t cached_rows() const noexcept { return resident_; }
 
@@ -109,7 +81,6 @@ class KernelCache {
   };
 
   std::size_t n_;
-  std::size_t row_len_;
   RowEvaluator evaluator_;
   std::size_t capacity_;
   std::size_t resident_ = 0;

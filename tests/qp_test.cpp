@@ -15,7 +15,7 @@
 #include "qp/box_qp.h"
 #include "qp/diagonal_qp.h"
 #include "qp/factored_qp.h"
-#include "qp/projected_gradient.h"
+#include "projected_gradient.h"
 #include "qp/smo.h"
 
 namespace ppml::qp {
@@ -865,45 +865,6 @@ TEST(KernelCache, FlushSurvivesCacheOutlivingTheSession) {
   }
   EXPECT_EQ(third.counter("qp.cache.hits"), 0);
   EXPECT_EQ(third.counter("qp.cache.misses"), 0);
-}
-
-TEST(KernelCache, FillRowsFlushesCountersBeforeReturning) {
-  // The batched-fill contract: qp.cache.* counters land in the obs session
-  // BEFORE fill_rows returns, so per-batch metric snapshots stay exact —
-  // no traffic is left stranded in the cache waiting for a destructor
-  // flush that may happen after the session closes.
-  const std::size_t n = 6;
-  const Matrix q = random_spd(n, 27);
-  std::vector<int> counts(n, 0);
-  obs::MetricsRegistry metrics;
-  obs::Session session(nullptr, &metrics);
-  // Budget for exactly 2 resident rows of the 6.
-  KernelCache cache(n, CountingEvaluator{&q, &counts},
-                    2 * n * sizeof(double));
-  cache.row(1);  // warm one row so the batch sees a hit
-  cache.flush_stats();
-
-  // The batch is LARGER than the cache capacity: copied-out rows stay
-  // valid even after their cache entry is evicted mid-batch.
-  const std::size_t ids[] = {1, 3, 1, 5};
-  Matrix out(4, n);
-  const auto batch = cache.fill_rows(ids, out);
-  for (std::size_t j = 0; j < 4; ++j)
-    for (std::size_t c = 0; c < n; ++c) EXPECT_EQ(out(j, c), q(ids[j], c));
-
-  // hit(1), miss(3), hit(1), miss(5) evicting the LRU row 3.
-  EXPECT_EQ(batch.hits, 2);
-  EXPECT_EQ(batch.misses, 2);
-  EXPECT_EQ(batch.evictions, 1);
-
-  // Already flushed: the session holds the full tallies (including the
-  // warm-up miss) and the cache's own counters are drained.
-  EXPECT_EQ(metrics.counter("qp.cache.hits"), 2);
-  EXPECT_EQ(metrics.counter("qp.cache.misses"), 3);
-  EXPECT_EQ(metrics.counter("qp.cache.evictions"), 1);
-  EXPECT_EQ(cache.hits(), 0);
-  EXPECT_EQ(cache.misses(), 0);
-  EXPECT_EQ(cache.evictions(), 0);
 }
 
 // ------------------------------------------------- cached + shrinking SMO

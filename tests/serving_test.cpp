@@ -1,9 +1,11 @@
 // core::PredictionServer: micro-batched secure serving must be a pure
 // re-batching of the per-query secure prediction path — bit-identical
 // decision values — with deterministic admission and flush behavior on the
-// virtual clock, and real kernel-row reuse across batches.
+// virtual clock, and real partial-score reuse across batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/prediction_server.h"
@@ -114,7 +116,7 @@ TEST(PredictionServing, KernelBatchedBitIdenticalToPerQuery) {
   }
 }
 
-TEST(PredictionServing, KernelRowCacheReusedAcrossBatches) {
+TEST(PredictionServing, KernelScoreCacheReusedAcrossBatches) {
   const auto split = cancer_split(3);
   const auto partition = data::partition_vertically(split.train, 3, 7);
   const auto params = fast_params(10);
@@ -128,8 +130,8 @@ TEST(PredictionServing, KernelRowCacheReusedAcrossBatches) {
   PredictionServer server(trained.model, params, config);
 
   // 8 distinct query points, each submitted 10 times: per learner the
-  // first touch of each point misses, the other 9 hit. Unlimited budget,
-  // so no evictions: hit rate is exactly 72/80 per learner.
+  // first touch of each point computes its score (a miss), the other 9 read
+  // it back. Slots are never evicted: hit rate is exactly 72/80 per learner.
   const std::size_t distinct = 8, repeats = 10;
   for (std::size_t i = 0; i < distinct * repeats; ++i) {
     const double now = static_cast<double>(i) * 0.001;
@@ -145,6 +147,131 @@ TEST(PredictionServing, KernelRowCacheReusedAcrossBatches) {
             static_cast<std::int64_t>(distinct * server.num_learners()));
   EXPECT_DOUBLE_EQ(server.cache_hit_rate(), 0.9);
   EXPECT_GE(server.cache_hit_rate(), 0.85);  // the pinned floor
+}
+
+TEST(PredictionServing, CachedScoreIndependentOfBatchPositionAndSize) {
+  const auto split = cancer_split(4);
+  const auto partition = data::partition_vertically(split.train, 3, 7);
+  const auto params = fast_params(10);
+  const auto trained = train_kernel_vertical(partition, svm::Kernel::rbf(0.3),
+                                             params, nullptr);
+
+  ServingConfig config;
+  config.max_batch = 16;
+  config.max_linger = 1.0;
+  config.cache_slots = 4;  // pool fills at the fourth distinct row
+  PredictionServer server(trained.model, params, config);
+
+  // Row 0 is the pooled query under test. It shows up at position 0 of a
+  // batch of 1, at the last position of a batch of 5, twice in one batch
+  // of 7 (positions 2 and 6, the second a same-batch hit) and in the
+  // middle of a full batch of 16 next to bypass rows. Every flush is
+  // forced by drain(), so the batch sizes are exactly these.
+  const std::vector<std::vector<std::size_t>> batches = {
+      {0},
+      {1, 2, 3, 4, 0},
+      {5, 6, 0, 1, 7, 8, 0},
+      {9, 10, 11, 12, 13, 14, 15, 0, 16, 17, 18, 19, 20, 21, 22, 23},
+  };
+  double now = 0.0;
+  std::vector<std::size_t> rows;
+  for (const auto& batch : batches) {
+    for (std::size_t row : batch) {
+      ASSERT_EQ(server.submit(0, split.test.x.row(row), now),
+                AdmissionOutcome::kQueued);
+      rows.push_back(row);
+    }
+    server.drain(now);
+    now += 0.001;
+  }
+  auto results = server.take_results();
+  ASSERT_EQ(results.size(), rows.size());
+  std::sort(results.begin(), results.end(),
+            [](const ServeResult& a, const ServeResult& b) {
+              return a.query_id < b.query_id;
+            });
+
+  std::size_t at = 0;
+  for (std::size_t b = 0; b < batches.size(); ++b)
+    for (std::size_t pos = 0; pos < batches[b].size(); ++pos, ++at) {
+      EXPECT_EQ(results[at].batch_id, b);
+      EXPECT_EQ(results[at].batch_occupancy, batches[b].size());
+    }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Vector reference = secure_vertical_decision_values(
+        trained.model, one_row(split.test.x.row(rows[i])), params);
+    EXPECT_EQ(results[i].decision_value, reference[0])
+        << "query " << i << " (test row " << rows[i] << ")";
+  }
+
+  // Pooled: rows 0..3 (slots in first-seen order). Row 0 comes 5 times,
+  // row 1 twice, rows 2 and 3 once: 9 pooled queries, 4 first touches.
+  const auto learners = static_cast<std::int64_t>(server.num_learners());
+  EXPECT_EQ(server.cache_misses(), 4 * learners);
+  EXPECT_EQ(server.cache_hits(), 5 * learners);
+  EXPECT_EQ(server.stats().cache_bypass, rows.size() - 9);
+}
+
+TEST(PredictionServing, NonFiniteQueryRejectedAndOthersStillServed) {
+  const auto split = cancer_split(2);
+  const auto partition = data::partition_vertically(split.train, 3, 7);
+  const auto params = fast_params(10);
+  const auto trained_linear = train_linear_vertical(partition, params, nullptr);
+  const auto trained_kernel = train_kernel_vertical(
+      partition, svm::Kernel::rbf(0.3), params, nullptr);
+
+  ServingConfig config;
+  config.max_batch = 4;
+  config.max_linger = 0.005;
+  config.cache_slots = 8;  // ignored by the linear server
+  PredictionServer linear(trained_linear.model, params, config);
+  PredictionServer kernel(trained_kernel.model, params, config);
+
+  for (PredictionServer* server : {&linear, &kernel}) {
+    double now = 0.0;
+    std::size_t row = 0;
+    std::vector<std::size_t> served_rows;
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+      // good, bad, good from three clients; the bad feature sits in the
+      // middle of an otherwise valid query.
+      ASSERT_EQ(server->submit(1, split.test.x.row(row), now),
+                AdmissionOutcome::kQueued);
+      served_rows.push_back(row);
+      Vector x(split.test.x.row(row + 1).begin(),
+               split.test.x.row(row + 1).end());
+      x[x.size() / 2] = bad;
+      EXPECT_THROW(server->submit(2, x, now), InvalidArgument);
+      ASSERT_EQ(server->submit(3, split.test.x.row(row + 2), now),
+                AdmissionOutcome::kQueued);
+      served_rows.push_back(row + 2);
+      row += 3;
+      now += 0.001;
+      server->advance(now);
+    }
+    EXPECT_EQ(server->stats().submitted, served_rows.size());
+    server->drain(now + 0.01);
+    EXPECT_EQ(server->pending(), 0u);
+
+    auto results = server->take_results();
+    ASSERT_EQ(results.size(), served_rows.size());
+    std::sort(results.begin(), results.end(),
+              [](const ServeResult& a, const ServeResult& b) {
+                return a.query_id < b.query_id;
+              });
+    for (std::size_t i = 0; i < served_rows.size(); ++i) {
+      const auto row = one_row(split.test.x.row(served_rows[i]));
+      const Vector reference =
+          server->is_kernel()
+              ? secure_vertical_decision_values(trained_kernel.model, row,
+                                                params)
+              : secure_vertical_decision_values(trained_linear.model, row,
+                                                params);
+      EXPECT_EQ(results[i].decision_value, reference[0])
+          << (server->is_kernel() ? "kernel" : "linear") << " query " << i;
+    }
+  }
 }
 
 TEST(PredictionServing, TokenBucketShedsUnderOverload) {
