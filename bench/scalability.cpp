@@ -12,6 +12,7 @@
 // instrumented M=4 run. The sweeps themselves run WITHOUT an observability
 // session, so the reported wall times exercise (and measure) the disabled
 // instrumentation path.
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -194,6 +195,15 @@ obs::JsonValue topology_row(std::size_t m, const char* topology,
   return row;
 }
 
+/// The simd and factor cells time each side as the median of this many
+/// scalar/dispatch alternations; a single pair spread too widely to tell.
+constexpr std::size_t kAlternations = 3;
+
+double median_seconds(std::array<double, kAlternations> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[kAlternations / 2];
+}
+
 /// One ISA cell of the microkernel speedup head-to-head: the blocked
 /// gemm_nt plus an RBF gram — the two dense primitives the trainer and
 /// kernel caches ride through.
@@ -230,31 +240,46 @@ SimdStats run_simd_cell() {
   };
 
   SimdStats stats;
-  linalg::force_isa(linalg::Isa::kScalar);
-  stats.scalar_seconds = run_once();
-  const linalg::Matrix scalar_gemm = gemm_out;
-  const linalg::Matrix scalar_gram = gram_out;
-
-  linalg::clear_forced_isa();  // back to the cpuid-probed level
-  stats.dispatch_seconds = run_once();
+  linalg::Matrix scalar_gemm;
+  linalg::Matrix scalar_gram;
+  // Every run after the first scalar one is checked against it.
+  const auto check_run = [&]() {
+    for (std::size_t i = 0; i < gemm_out.size(); ++i)
+      stats.max_abs_diff_vs_scalar =
+          std::max(stats.max_abs_diff_vs_scalar,
+                   std::abs(gemm_out.data()[i] - scalar_gemm.data()[i]));
+    for (std::size_t i = 0; i < gram_out.size(); ++i)
+      stats.max_abs_diff_vs_scalar =
+          std::max(stats.max_abs_diff_vs_scalar,
+                   std::abs(gram_out.data()[i] - scalar_gram.data()[i]));
+  };
+  std::array<double, kAlternations> scalar_seconds{};
+  std::array<double, kAlternations> dispatch_seconds{};
+  for (std::size_t rep = 0; rep < kAlternations; ++rep) {
+    linalg::force_isa(linalg::Isa::kScalar);
+    scalar_seconds[rep] = run_once();
+    if (rep == 0) {
+      scalar_gemm = gemm_out;
+      scalar_gram = gram_out;
+    } else {
+      check_run();
+    }
+    linalg::clear_forced_isa();  // back to the cpuid-probed level
+    dispatch_seconds[rep] = run_once();
+    check_run();
+  }
   stats.isa = linalg::active_isa_name();
+  stats.scalar_seconds = median_seconds(scalar_seconds);
+  stats.dispatch_seconds = median_seconds(dispatch_seconds);
   stats.speedup = stats.dispatch_seconds > 0.0
                       ? stats.scalar_seconds / stats.dispatch_seconds
                       : 1.0;
-  for (std::size_t i = 0; i < gemm_out.size(); ++i)
-    stats.max_abs_diff_vs_scalar =
-        std::max(stats.max_abs_diff_vs_scalar,
-                 std::abs(gemm_out.data()[i] - scalar_gemm.data()[i]));
-  for (std::size_t i = 0; i < gram_out.size(); ++i)
-    stats.max_abs_diff_vs_scalar =
-        std::max(stats.max_abs_diff_vs_scalar,
-                 std::abs(gram_out.data()[i] - scalar_gram.data()[i]));
   return stats;
 }
 
 /// The factorization half of the SIMD head-to-head: the kernel-vertical
 /// system I + rho*K (K an RBF Gram, one party's 1500 training rows) factored
-/// once and solved 40 times, scalar-pinned and then dispatched.
+/// once and solved 40 times, scalar-pinned and then dispatched, alternating.
 struct FactorStats {
   std::size_t n = 0;
   double scalar_factor_seconds = 0.0;
@@ -303,23 +328,42 @@ FactorStats run_factor_cell() {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
   };
 
-  linalg::force_isa(linalg::Isa::kScalar);
-  const Run scalar = run_once();
-  linalg::clear_forced_isa();
-  const Run dispatch = run_once();
-
   FactorStats stats;
   stats.n = kRows;
-  stats.scalar_factor_seconds = scalar.factor_seconds;
-  stats.dispatch_factor_seconds = dispatch.factor_seconds;
-  stats.scalar_solve40_seconds = scalar.solve_seconds;
-  stats.dispatch_solve40_seconds = dispatch.solve_seconds;
-  for (std::size_t i = 0; i < scalar.l.size(); ++i)
-    stats.bits_differ += !same_bits(scalar.l.data()[i], dispatch.l.data()[i]);
-  for (std::size_t s = 0; s < kSolves; ++s)
-    for (std::size_t i = 0; i < kRows; ++i)
+  // Every run after the first scalar one is checked against it.
+  Run reference;
+  const auto check_run = [&](const Run& run) {
+    for (std::size_t i = 0; i < reference.l.size(); ++i)
       stats.bits_differ +=
-          !same_bits(scalar.solutions[s][i], dispatch.solutions[s][i]);
+          !same_bits(reference.l.data()[i], run.l.data()[i]);
+    for (std::size_t s = 0; s < kSolves; ++s)
+      for (std::size_t i = 0; i < kRows; ++i)
+        stats.bits_differ +=
+            !same_bits(reference.solutions[s][i], run.solutions[s][i]);
+  };
+  std::array<double, kAlternations> scalar_factor{};
+  std::array<double, kAlternations> dispatch_factor{};
+  std::array<double, kAlternations> scalar_solve{};
+  std::array<double, kAlternations> dispatch_solve{};
+  for (std::size_t rep = 0; rep < kAlternations; ++rep) {
+    linalg::force_isa(linalg::Isa::kScalar);
+    Run scalar = run_once();
+    scalar_factor[rep] = scalar.factor_seconds;
+    scalar_solve[rep] = scalar.solve_seconds;
+    if (rep == 0)
+      reference = std::move(scalar);
+    else
+      check_run(scalar);
+    linalg::clear_forced_isa();
+    const Run dispatch = run_once();
+    dispatch_factor[rep] = dispatch.factor_seconds;
+    dispatch_solve[rep] = dispatch.solve_seconds;
+    check_run(dispatch);
+  }
+  stats.scalar_factor_seconds = median_seconds(scalar_factor);
+  stats.dispatch_factor_seconds = median_seconds(dispatch_factor);
+  stats.scalar_solve40_seconds = median_seconds(scalar_solve);
+  stats.dispatch_solve40_seconds = median_seconds(dispatch_solve);
   return stats;
 }
 
@@ -648,7 +692,8 @@ int main() {
   // may move.
   {
     std::printf("\n## SIMD microkernels: scalar vs dispatched (gemm_nt + RBF "
-                "gram, bit-identity enforced)\n");
+                "gram, median of %zu alternations, bit-identity enforced)\n",
+                kAlternations);
     const SimdStats s = run_simd_cell();
     std::printf("%-8s %12s %14s %9s %14s\n", "isa", "scalar_s", "dispatch_s",
                 "speedup", "max_abs_diff");
@@ -661,7 +706,9 @@ int main() {
       return 1;
     }
     std::printf("\n## Cholesky of I + rho*K: scalar vs dispatched (factor + "
-                "40 solves, bit-identity enforced)\n");
+                "40 solves, median of %zu alternations, bit-identity "
+                "enforced)\n",
+                kAlternations);
     const FactorStats f = run_factor_cell();
     std::printf("%6s %16s %18s %16s %18s %12s\n", "n", "factor_scalar_s",
                 "factor_dispatch_s", "solve40_scalar_s", "solve40_dispatch_s",

@@ -30,7 +30,7 @@ cmake --build build-asan -j"$jobs" --target mapreduce_test chaos_test \
   dropout_recovery_test obs_test qp_test linalg_test microkernel_test \
   consensus_engine_test async_consensus_test grouped_ring_test serving_test \
   privacy_ledger_test crypto_test serde_fuzz_test property_test \
-  core_vertical_test
+  core_vertical_test core_horizontal_test edge_cases_test
 # mapreduce_test covers the out-of-core blockstore: spill/mmap/LRU paths
 # hand out spans into unlinked mapped files — ASan watches the lifetimes.
 ./build-asan/tests/mapreduce_test
@@ -59,6 +59,16 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/microkernel_test
 # and pinned to the scalar table.
 ./build-asan/tests/core_vertical_test
 PPML_FORCE_ISA=scalar ./build-asan/tests/core_vertical_test
+# core_horizontal_test streams kernel-horizontal's landmark and shard rows
+# through the deferred test trace (kernel_row into a rank_update over the
+# coefficient history), the same path kv's trace takes. Dispatched and
+# pinned to the scalar table.
+./build-asan/tests/core_horizontal_test
+PPML_FORCE_ISA=scalar ./build-asan/tests/core_horizontal_test
+# edge_cases_test hands every full-row consumer (vertical trainers, model
+# views, secure prediction) a feature matrix narrower than the partition:
+# each must throw before it reads a column that is not there.
+./build-asan/tests/edge_cases_test
 ./build-asan/tests/consensus_engine_test
 ./build-asan/tests/async_consensus_test
 ./build-asan/tests/grouped_ring_test

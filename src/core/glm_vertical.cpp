@@ -131,6 +131,9 @@ GlmVerticalResult run_vertical_glm(const data::VerticalPartition& partition,
                                    ConsensusCoordinator& coordinator,
                                    const std::function<double()>& bias,
                                    const data::Dataset* test) {
+  PPML_CHECK(test == nullptr ||
+                 test->features() >= required_width(partition.feature_indices),
+             "vertical GLM: test set narrower than the partition");
   const std::size_t m = partition.learners();
   std::vector<std::shared_ptr<ConsensusLearner>> learners;
   std::vector<std::shared_ptr<LinearVerticalLearner>> typed;

@@ -1,7 +1,9 @@
 #include "core/kernel_horizontal.h"
 
 #include "core/consensus_engine.h"
+#include "core/kernel_trace.h"
 
+#include <optional>
 #include <random>
 #include <thread>
 
@@ -9,7 +11,6 @@
 #include "linalg/cholesky.h"
 #include "linalg/parallel.h"
 #include "mapreduce/executor.h"
-#include "svm/metrics.h"
 
 namespace ppml::core {
 
@@ -194,11 +195,21 @@ KernelHorizontalResult train_kernel_horizontal(
   const linalg::Matrix landmarks = sample_landmarks(
       partition.shards.front().x, params.landmarks, params.seed);
 
+  // The test trace records learner 0's expansion each round; the
+  // accuracies are evaluated after the run, from one streamed kernel row
+  // per test row and term (core/kernel_trace.h). Landmarks come first, so
+  // each decision folds as (b + p_g) + p_x: IEEE addition commutes, so
+  // that is p_x + (p_g + b) bit for bit.
+  std::optional<KernelTestTrace> test_trace;
+  if (test != nullptr)
+    test_trace.emplace(kernel, *test,
+                       std::vector<KernelTraceTerm>{
+                           {&landmarks, {}}, {&partition.shards.front().x, {}}},
+                       params.max_iterations);
+
   std::vector<std::shared_ptr<ConsensusLearner>> learners;
   std::vector<std::shared_ptr<KernelHorizontalLearner>> typed;
   learners.reserve(m);
-  linalg::Matrix ktx;
-  linalg::Matrix ktg;
   {
     // Learner construction is Gram-matrix heavy (per-shard Kxx, Kxg, the
     // Woodbury products). Thread it through the blocked linalg kernels by
@@ -218,38 +229,29 @@ KernelHorizontalResult train_kernel_horizontal(
       typed.push_back(learner);
       learners.push_back(learner);
     }
-    // Evaluation caches: K(test, X_0) and K(test, Xg) computed once.
-    if (test != nullptr) {
-      ktx = svm::cross_gram(kernel, test->x, partition.shards.front().x);
-      ktg = svm::cross_gram(kernel, test->x, landmarks);
-    }
   }
   AveragingCoordinator coordinator(params.landmarks + 1);
 
   KernelHorizontalResult result;
+  Vector a;
+  Vector c;
   const RoundObserver observer = [&](std::size_t iteration) {
     IterationRecord record;
     record.iteration = iteration;
     record.z_delta_sq = coordinator.last_delta_sq();
-    if (test != nullptr) {
-      Vector a;
-      Vector c;
+    result.trace.records.push_back(record);
+    if (test_trace) {
       double bias = 0.0;
       typed.front()->expansion(a, c, bias);
-      Vector decision = linalg::gemv(ktx, a);
-      const Vector landmark_part = linalg::gemv(ktg, c);
-      for (std::size_t i = 0; i < decision.size(); ++i) {
-        decision[i] += landmark_part[i] + bias;
-        decision[i] = decision[i] >= 0.0 ? 1.0 : -1.0;
-      }
-      record.test_accuracy = svm::accuracy(decision, test->y);
+      const std::span<const double> coefficients[] = {c, a};
+      test_trace->record(bias, coefficients);
     }
-    result.trace.records.push_back(record);
   };
 
   InMemoryTransport transport;
   result.run =
       ConsensusEngine(learners, coordinator, params).run(transport, observer);
+  if (test_trace) test_trace->finish(result.trace.records);
   result.model = typed.front()->build_model();
   return result;
 }

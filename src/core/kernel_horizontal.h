@@ -42,8 +42,8 @@ class KernelHorizontalLearner final : public ConsensusLearner {
 
   /// Expansion coefficients of the discriminant without materializing the
   /// model: `a` on the learner's own points, `c` on the landmarks, plus the
-  /// local bias. Used by the tracing harness, which caches test Gram
-  /// matrices across iterations.
+  /// local bias. The test trace records them each round and scores them
+  /// after the run (core/kernel_trace.h).
   void expansion(Vector& a, Vector& c, double& bias) const;
 
   const Vector& lambda() const noexcept { return lambda_; }

@@ -64,10 +64,12 @@ void PredictionServer::init(const AdmmParams& protocol) {
   if (const auto* linear = std::get_if<VerticalLinearModelView>(&model_)) {
     num_learners_ = linear->w_blocks.size();
     bias_ = linear->b;
+    width_ = required_width(linear->feature_indices);
   } else {
     const auto& kernel = std::get<VerticalKernelModelView>(model_);
     num_learners_ = kernel.train_blocks.size();
     bias_ = kernel.b;
+    width_ = required_width(kernel.feature_indices);
   }
   PPML_CHECK(num_learners_ >= 2,
              "PredictionServer: need >= 2 learners for secure serving");
@@ -132,9 +134,13 @@ AdmissionOutcome PredictionServer::submit(std::uint64_t client_id,
                                           std::span<const double> x,
                                           double now) {
   bump_clock(now);
-  if (dim_ == 0)
+  if (dim_ == 0) {
+    // Every later query must match the first, so checking the first against
+    // the model's feature indices covers them all.
+    PPML_CHECK(x.size() >= width_,
+               "PredictionServer::submit: query narrower than the model");
     dim_ = x.size();
-  else
+  } else
     PPML_CHECK(x.size() == dim_,
                "PredictionServer::submit: query dimension mismatch");
   // A non-finite feature would make the batch's fixed-point encode throw on

@@ -131,6 +131,9 @@ class PredictionServer {
   /// per-learner feature distribution, see docs/serving.md). `now` is the
   /// virtual arrival time and must be monotone across submit/advance/drain.
   /// Admission runs here; admitted queries wait for the next flush.
+  /// Throws InvalidArgument, counting nothing, on a query with a non-finite
+  /// feature, on a first query narrower than the model's feature indices,
+  /// and on a later query whose width differs from the first one's.
   AdmissionOutcome submit(std::uint64_t client_id, std::span<const double> x,
                           double now);
 
@@ -186,7 +189,8 @@ class PredictionServer {
   std::variant<VerticalLinearModelView, VerticalKernelModelView> model_;
   ServingConfig config_;
   std::size_t num_learners_ = 0;
-  std::size_t dim_ = 0;  ///< query dimension, latched on first submit
+  std::size_t width_ = 0;  ///< required_width of the model's feature indices
+  std::size_t dim_ = 0;    ///< query dimension, latched on first submit
   double bias_ = 0.0;
 
   std::unique_ptr<crypto::SecureSumSession> session_;

@@ -116,6 +116,8 @@ Vector secure_vertical_decision_values(const VerticalLinearModelView& model,
                                        const linalg::Matrix& x_full,
                                        crypto::SecureSumSession& session,
                                        std::size_t round) {
+  PPML_CHECK(x_full.cols() >= required_width(model.feature_indices),
+             "secure prediction: feature rows narrower than the model");
   const std::size_t m = model.w_blocks.size();
   std::vector<Vector> partials;
   partials.reserve(m);
@@ -128,6 +130,8 @@ Vector secure_vertical_decision_values(const VerticalKernelModelView& model,
                                        const linalg::Matrix& x_full,
                                        crypto::SecureSumSession& session,
                                        std::size_t round) {
+  PPML_CHECK(x_full.cols() >= required_width(model.feature_indices),
+             "secure prediction: feature rows narrower than the model");
   const std::size_t m = model.train_blocks.size();
   std::vector<Vector> partials;
   partials.reserve(m);

@@ -1,6 +1,10 @@
 #include "core/vertical.h"
 
 #include "core/consensus_engine.h"
+#include "core/kernel_trace.h"
+
+#include <algorithm>
+#include <optional>
 
 #include "linalg/blas.h"
 #include "qp/diagonal_qp.h"
@@ -131,45 +135,81 @@ Vector VerticalCoordinator::combine(const Vector& average) {
   return broadcast;
 }
 
-double VerticalLinearModelView::decision_value(
-    std::span<const double> x_full) const {
-  double acc = b;
-  for (std::size_t m = 0; m < w_blocks.size(); ++m) {
-    const auto& idx = feature_indices[m];
+std::size_t required_width(
+    const std::vector<std::vector<std::size_t>>& feature_indices) {
+  std::size_t width = 0;
+  for (const auto& idx : feature_indices)
+    for (std::size_t j : idx) width = std::max(width, j + 1);
+  return width;
+}
+
+namespace {
+
+// The views check a row's width once per call, then score unchecked.
+void check_width(const std::vector<std::vector<std::size_t>>& feature_indices,
+                 std::size_t width) {
+  PPML_CHECK(width >= required_width(feature_indices),
+             "vertical model: feature row narrower than the model's indices");
+}
+
+double linear_decision(const VerticalLinearModelView& view,
+                       std::span<const double> x_full) {
+  double acc = view.b;
+  for (std::size_t m = 0; m < view.w_blocks.size(); ++m) {
+    const auto& idx = view.feature_indices[m];
     for (std::size_t j = 0; j < idx.size(); ++j)
-      acc += w_blocks[m][j] * x_full[idx[j]];
+      acc += view.w_blocks[m][j] * x_full[idx[j]];
   }
   return acc;
+}
+
+double kernel_decision(const VerticalKernelModelView& view,
+                       std::span<const double> x_full) {
+  double acc = view.b;
+  std::vector<double> projected;
+  for (std::size_t m = 0; m < view.train_blocks.size(); ++m) {
+    const auto& idx = view.feature_indices[m];
+    projected.resize(idx.size());
+    for (std::size_t j = 0; j < idx.size(); ++j) projected[j] = x_full[idx[j]];
+    const Vector krow =
+        svm::kernel_row(view.kernel, projected, view.train_blocks[m]);
+    acc += linalg::dot(krow, view.alphas[m]);
+  }
+  return acc;
+}
+
+template <typename View, typename Decide>
+Vector predict_rows(const View& view, const linalg::Matrix& x_full,
+                    Decide decide) {
+  check_width(view.feature_indices, x_full.cols());
+  Vector out(x_full.rows());
+  for (std::size_t i = 0; i < x_full.rows(); ++i)
+    out[i] = decide(view, x_full.row(i)) >= 0.0 ? 1.0 : -1.0;
+  return out;
+}
+
+}  // namespace
+
+double VerticalLinearModelView::decision_value(
+    std::span<const double> x_full) const {
+  check_width(feature_indices, x_full.size());
+  return linear_decision(*this, x_full);
 }
 
 Vector VerticalLinearModelView::predict_all(
     const linalg::Matrix& x_full) const {
-  Vector out(x_full.rows());
-  for (std::size_t i = 0; i < x_full.rows(); ++i)
-    out[i] = decision_value(x_full.row(i)) >= 0.0 ? 1.0 : -1.0;
-  return out;
+  return predict_rows(*this, x_full, linear_decision);
 }
 
 double VerticalKernelModelView::decision_value(
     std::span<const double> x_full) const {
-  double acc = b;
-  std::vector<double> projected;
-  for (std::size_t m = 0; m < train_blocks.size(); ++m) {
-    const auto& idx = feature_indices[m];
-    projected.resize(idx.size());
-    for (std::size_t j = 0; j < idx.size(); ++j) projected[j] = x_full[idx[j]];
-    const Vector krow = svm::kernel_row(kernel, projected, train_blocks[m]);
-    acc += linalg::dot(krow, alphas[m]);
-  }
-  return acc;
+  check_width(feature_indices, x_full.size());
+  return kernel_decision(*this, x_full);
 }
 
 Vector VerticalKernelModelView::predict_all(
     const linalg::Matrix& x_full) const {
-  Vector out(x_full.rows());
-  for (std::size_t i = 0; i < x_full.rows(); ++i)
-    out[i] = decision_value(x_full.row(i)) >= 0.0 ? 1.0 : -1.0;
-  return out;
+  return predict_rows(*this, x_full, kernel_decision);
 }
 
 LinearVerticalResult train_linear_vertical(
@@ -177,6 +217,9 @@ LinearVerticalResult train_linear_vertical(
     const data::Dataset* test) {
   PPML_CHECK(partition.learners() >= 2,
              "train_linear_vertical: need >= 2 learners");
+  PPML_CHECK(test == nullptr ||
+                 test->features() >= required_width(partition.feature_indices),
+             "train_linear_vertical: test set narrower than the partition");
   const std::size_t m = partition.learners();
 
   std::vector<std::shared_ptr<ConsensusLearner>> learners;
@@ -220,7 +263,21 @@ KernelVerticalResult train_kernel_vertical(
     const AdmmParams& params, const data::Dataset* test) {
   PPML_CHECK(partition.learners() >= 2,
              "train_kernel_vertical: need >= 2 learners");
+  PPML_CHECK(test == nullptr ||
+                 test->features() >= required_width(partition.feature_indices),
+             "train_kernel_vertical: test set narrower than the partition");
   const std::size_t m = partition.learners();
+
+  // The test trace records each round's bias and alphas; the accuracies
+  // are evaluated after the run, from one streamed kernel row per test row
+  // and learner (core/kernel_trace.h).
+  std::optional<KernelTestTrace> test_trace;
+  if (test != nullptr) {
+    std::vector<KernelTraceTerm> terms;
+    for (std::size_t i = 0; i < m; ++i)
+      terms.push_back({&partition.blocks[i], partition.feature_indices[i]});
+    test_trace.emplace(kernel, *test, std::move(terms), params.max_iterations);
+  }
 
   std::vector<std::shared_ptr<ConsensusLearner>> learners;
   std::vector<std::shared_ptr<KernelVerticalLearner>> typed;
@@ -232,41 +289,23 @@ KernelVerticalResult train_kernel_vertical(
   }
   VerticalCoordinator coordinator(partition.y, m, params);
 
-  // Evaluation caches: per-learner K(test feature view, train block),
-  // computed once — decision per round is then one gemv per learner.
-  std::vector<linalg::Matrix> test_grams;
-  if (test != nullptr) {
-    test_grams.reserve(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      linalg::Matrix projected(test->size(), partition.feature_indices[i].size());
-      for (std::size_t r = 0; r < test->size(); ++r)
-        for (std::size_t j = 0; j < partition.feature_indices[i].size(); ++j)
-          projected(r, j) = test->x(r, partition.feature_indices[i][j]);
-      test_grams.push_back(
-          svm::cross_gram(kernel, projected, partition.blocks[i]));
-    }
-  }
-
   KernelVerticalResult result;
+  std::vector<std::span<const double>> alphas(m);
   const RoundObserver observer = [&](std::size_t iteration) {
     IterationRecord record;
     record.iteration = iteration;
     record.z_delta_sq = coordinator.last_delta_sq();
-    if (test != nullptr) {
-      Vector decision(test->size(), coordinator.bias());
-      for (std::size_t i = 0; i < m; ++i) {
-        const Vector part = linalg::gemv(test_grams[i], typed[i]->alpha());
-        linalg::axpy(1.0, part, decision);
-      }
-      for (double& v : decision) v = v >= 0.0 ? 1.0 : -1.0;
-      record.test_accuracy = svm::accuracy(decision, test->y);
-    }
     result.trace.records.push_back(record);
+    if (test_trace) {
+      for (std::size_t i = 0; i < m; ++i) alphas[i] = typed[i]->alpha();
+      test_trace->record(coordinator.bias(), alphas);
+    }
   };
 
   InMemoryTransport transport;
   result.run =
       ConsensusEngine(learners, coordinator, params).run(transport, observer);
+  if (test_trace) test_trace->finish(result.trace.records);
 
   result.model.kernel = kernel;
   result.model.feature_indices = partition.feature_indices;

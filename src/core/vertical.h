@@ -99,6 +99,14 @@ class VerticalCoordinator final : public ConsensusCoordinator {
   double delta_sq_ = 0.0;
 };
 
+/// Columns a full feature row needs for these per-learner feature indices:
+/// the largest index + 1 (0 when there are none). Every consumer of a full
+/// row (trainers' test sets, the model views, secure prediction, the
+/// prediction server) checks its input against it and throws
+/// InvalidArgument on a narrower one.
+std::size_t required_width(
+    const std::vector<std::vector<std::size_t>>& feature_indices);
+
 /// Evaluation-side model for the vertical schemes. In deployment every
 /// learner keeps its own piece and test-time evaluation itself runs the
 /// secure sum; this struct assembles the pieces for the benchmarking

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/kernel_horizontal.h"
 #include "core/linear_horizontal.h"
@@ -8,6 +10,7 @@
 #include "data/standardize.h"
 #include "svm/metrics.h"
 #include "svm/trainer.h"
+#include "trace_digest.h"
 
 namespace ppml::core {
 namespace {
@@ -281,5 +284,68 @@ TEST(KernelHorizontal, RejectsMismatchedLandmarkWidth) {
                InvalidArgument);
 }
 
+struct KernelHorizontalDigests {
+  std::uint64_t trace = 0;
+  std::uint64_t model = 0;
+};
+
+/// Trains kh on the cancer split (3 learners, 20 landmarks, RBF) against
+/// `test` at every available ISA level, forced in-process, and returns the
+/// digest of every trace record and of learner 0's model. At rho = 10 the
+/// test accuracy moves from round to round, so a record out of place shows.
+std::vector<KernelHorizontalDigests> kernel_horizontal_digests(
+    const data::Dataset& train, const data::Dataset& test,
+    AdmmParams params, std::size_t expected_rounds) {
+  const auto partition = data::partition_horizontally(train, 3, 7);
+  params.landmarks = 20;
+  params.rho = 10.0;
+  std::vector<KernelHorizontalDigests> digests;
+  for (const linalg::Isa isa : testing::available_isas()) {
+    linalg::force_isa(isa);
+    const auto result = train_kernel_horizontal(
+        partition, svm::Kernel::rbf(0.05), params, &test);
+    EXPECT_EQ(result.trace.records.size(), expected_rounds)
+        << linalg::isa_name(isa);
+    KernelHorizontalDigests d;
+    d.trace = testing::trace_digest(result.trace);
+    d.model = testing::fnv1a_bits(testing::kFnvOffset,
+                                  result.model.points.data());
+    d.model = testing::fnv1a_bits(d.model, result.model.coeffs);
+    d.model = testing::fnv1a_bits(d.model, std::vector<double>{result.model.b});
+    digests.push_back(d);
+  }
+  linalg::clear_forced_isa();
+  return digests;
+}
+
+// Each digest is what per-round evaluation over cached test cross grams
+// gives; the deferred evaluator must reproduce every record bit for bit.
+TEST(KernelHorizontal, TraceAndModelDigestPinned) {
+  const auto split = cancer_split();
+  for (const auto& d : kernel_horizontal_digests(split.train, split.test,
+                                                 fast_params(15), 15)) {
+    EXPECT_EQ(d.trace, 0x168CDD19CDE09C20ULL);
+    EXPECT_EQ(d.model, 0x5B7A6078EFA2FD88ULL);
+  }
+}
+
+TEST(KernelHorizontal, TraceDigestPinnedWithMoreRoundsThanTestRows) {
+  // Seven test rows and twenty rounds: the trace history fills twice and
+  // the last six rounds are evaluated after the run.
+  const auto split = cancer_split();
+  const data::Dataset test = split.test.subset({0, 1, 2, 3, 4, 5, 6});
+  for (const auto& d :
+       kernel_horizontal_digests(split.train, test, fast_params(20), 20))
+    EXPECT_EQ(d.trace, 0x4304FD50503BBC2EULL);
+}
+
+TEST(KernelHorizontal, TraceDigestPinnedWhenConvergedEarly) {
+  const auto split = cancer_split();
+  AdmmParams params = fast_params(200);
+  params.convergence_tolerance = 1e-3;
+  for (const auto& d :
+       kernel_horizontal_digests(split.train, split.test, params, 45))
+    EXPECT_EQ(d.trace, 0x660CA1EE318C4049ULL);
+}
 }  // namespace
 }  // namespace ppml::core

@@ -1,14 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "core/vertical.h"
 #include "data/generators.h"
 #include "data/standardize.h"
 #include "svm/metrics.h"
 #include "svm/trainer.h"
+#include "trace_digest.h"
 
 namespace ppml::core {
 namespace {
@@ -175,18 +176,6 @@ TEST(KernelVertical, TraceRecordsEveryIteration) {
   }
 }
 
-/// FNV-1a over the bit patterns of `v`, each word little-endian.
-std::uint64_t fnv1a_bits(std::uint64_t h, const Vector& v) {
-  for (double d : v) {
-    const auto w = std::bit_cast<std::uint64_t>(d);
-    for (int b = 0; b < 8; ++b) {
-      h ^= (w >> (8 * b)) & 0xFF;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
-}
-
 TEST(KernelVertical, LocalStepDigestPinned) {
   // n = 97 crosses the factor's 32-row panels and the 4-lane SIMD groups,
   // so every remainder path of the factorization, the solves and the
@@ -202,17 +191,69 @@ TEST(KernelVertical, LocalStepDigestPinned) {
   params.rho = 3.0;
   KernelVerticalLearner learner(std::move(block), svm::Kernel::rbf(0.4),
                                 params);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = testing::kFnvOffset;
   Vector broadcast;
   for (std::size_t step = 0; step < 10; ++step) {
     const Vector c = learner.local_step(broadcast);
-    h = fnv1a_bits(h, learner.alpha());
-    h = fnv1a_bits(h, c);
+    h = testing::fnv1a_bits(h, learner.alpha());
+    h = testing::fnv1a_bits(h, c);
     broadcast.resize(kRows);
     for (std::size_t i = 0; i < kRows; ++i)
       broadcast[i] = std::cos(static_cast<double>(i + 3 * step)) - 0.5 * c[i];
   }
   EXPECT_EQ(h, 0x781D21F4208DDCCDULL);
+}
+
+/// Trains kv on the cancer split (3 learners, RBF) against `test` and
+/// returns the digest of every trace record plus the final model, at
+/// every available ISA level, forced in-process.
+std::vector<std::uint64_t> kernel_vertical_digests(
+    const data::Dataset& train, const data::Dataset& test,
+    const AdmmParams& params, std::size_t expected_rounds) {
+  const auto partition = data::partition_vertically(train, 3, 5);
+  std::vector<std::uint64_t> digests;
+  for (const linalg::Isa isa : testing::available_isas()) {
+    linalg::force_isa(isa);
+    const auto result = train_kernel_vertical(
+        partition, svm::Kernel::rbf(0.3), params, &test);
+    EXPECT_EQ(result.trace.records.size(), expected_rounds)
+        << linalg::isa_name(isa);
+    std::uint64_t h = testing::trace_digest(result.trace);
+    for (const Vector& alpha : result.model.alphas)
+      h = testing::fnv1a_bits(h, alpha);
+    h = testing::fnv1a_bits(h, std::vector<double>{result.model.b});
+    digests.push_back(h);
+  }
+  linalg::clear_forced_isa();
+  return digests;
+}
+
+// Each digest is what per-round evaluation over cached test cross grams
+// gives; the deferred evaluator must reproduce every record bit for bit.
+TEST(KernelVertical, TraceDigestPinned) {
+  const auto split = cancer_split();
+  for (const std::uint64_t h :
+       kernel_vertical_digests(split.train, split.test, fast_params(15), 15))
+    EXPECT_EQ(h, 0xF53C0C489A658758ULL);
+}
+
+TEST(KernelVertical, TraceDigestPinnedWithMoreRoundsThanTestRows) {
+  // Seven test rows and twenty rounds: the trace history fills twice and
+  // the last six rounds are evaluated after the run.
+  const auto split = cancer_split();
+  const data::Dataset test = split.test.subset({0, 1, 2, 3, 4, 5, 6});
+  for (const std::uint64_t h :
+       kernel_vertical_digests(split.train, test, fast_params(20), 20))
+    EXPECT_EQ(h, 0xDD78030FF3325339ULL);
+}
+
+TEST(KernelVertical, TraceDigestPinnedWhenConvergedEarly) {
+  const auto split = cancer_split();
+  AdmmParams params = fast_params(200);
+  params.convergence_tolerance = 1e-2;
+  for (const std::uint64_t h :
+       kernel_vertical_digests(split.train, split.test, params, 52))
+    EXPECT_EQ(h, 0x102F08824FD2965EULL);
 }
 
 TEST(VerticalLearners, ValidateParameters) {

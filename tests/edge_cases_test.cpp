@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "core/glm_horizontal.h"
+#include "core/glm_vertical.h"
 #include "core/mapreduce_adapter.h"
+#include "core/secure_prediction.h"
+#include "core/vertical.h"
 #include "data/generators.h"
 #include "data/io.h"
 #include "data/standardize.h"
@@ -233,6 +236,82 @@ TEST(Plumbing, KernelModelPredictAllShapes) {
   const linalg::Vector out = model.predict_all(queries);
   EXPECT_EQ(out[0], 1.0);   // 2 - 0.5 > 0
   EXPECT_EQ(out[1], -1.0);  // 0 - 0.5 < 0
+}
+
+
+// --- feature rows narrower than a vertical partition -------------------------
+// Every consumer of a full feature row must refuse one that is narrower
+// than the largest feature index it reads, before reading it.
+
+struct NarrowFixture {
+  data::SplitDataset split;
+  data::VerticalPartition partition;
+  data::Dataset narrow;  // the test set cut to its first two columns
+};
+
+NarrowFixture narrow_fixture() {
+  NarrowFixture f;
+  f.split = data::train_test_split(data::make_cancer_like(1), 0.5, 42);
+  data::StandardScaler scaler;
+  scaler.fit_transform(f.split);
+  f.partition = data::partition_vertically(f.split.train, 2, 3);
+  f.narrow = f.split.test.feature_subset({0, 1});
+  return f;
+}
+
+TEST(NarrowInput, RequiredWidthIsLargestIndexPlusOne) {
+  EXPECT_EQ(core::required_width({}), 0u);
+  EXPECT_EQ(core::required_width({{2, 0}, {}, {5, 1}}), 6u);
+  const auto f = narrow_fixture();
+  EXPECT_EQ(core::required_width(f.partition.feature_indices),
+            f.split.train.features());
+}
+
+TEST(NarrowInput, VerticalTrainersRejectNarrowTestSet) {
+  const auto f = narrow_fixture();
+  core::AdmmParams params;
+  params.max_iterations = 3;
+  EXPECT_THROW(core::train_kernel_vertical(f.partition, svm::Kernel::rbf(0.3),
+                                           params, &f.narrow),
+               InvalidArgument);
+  EXPECT_THROW(core::train_linear_vertical(f.partition, params, &f.narrow),
+               InvalidArgument);
+  core::GlmParams glm;
+  glm.admm.max_iterations = 3;
+  EXPECT_THROW(core::train_ridge_vertical(f.partition, glm, &f.narrow),
+               InvalidArgument);
+  EXPECT_THROW(core::train_logistic_vertical(f.partition, glm, &f.narrow),
+               InvalidArgument);
+  // The full-width test set still trains and traces.
+  const auto ok = core::train_kernel_vertical(
+      f.partition, svm::Kernel::rbf(0.3), params, &f.split.test);
+  EXPECT_EQ(ok.trace.records.size(), 3u);
+}
+
+TEST(NarrowInput, VerticalViewsAndSecurePredictionRejectNarrowRows) {
+  const auto f = narrow_fixture();
+  core::AdmmParams params;
+  params.max_iterations = 3;
+  const auto linear = core::train_linear_vertical(f.partition, params);
+  const auto kernel = core::train_kernel_vertical(
+      f.partition, svm::Kernel::rbf(0.3), params);
+
+  EXPECT_THROW(linear.model.decision_value(f.narrow.x.row(0)),
+               InvalidArgument);
+  EXPECT_THROW(linear.model.predict_all(f.narrow.x), InvalidArgument);
+  EXPECT_THROW(kernel.model.decision_value(f.narrow.x.row(0)),
+               InvalidArgument);
+  EXPECT_THROW(kernel.model.predict_all(f.narrow.x), InvalidArgument);
+  EXPECT_THROW(
+      core::secure_vertical_decision_values(linear.model, f.narrow.x, params),
+      InvalidArgument);
+  EXPECT_THROW(
+      core::secure_vertical_decision_values(kernel.model, f.narrow.x, params),
+      InvalidArgument);
+
+  // Full-width rows are still scored.
+  EXPECT_NO_THROW(linear.model.predict_all(f.split.test.x));
+  EXPECT_NO_THROW(kernel.model.predict_all(f.split.test.x));
 }
 
 }  // namespace

@@ -381,5 +381,43 @@ TEST(PredictionServing, VirtualClockMustBeMonotone) {
   server.advance(1.0);  // equal time is fine
 }
 
+
+TEST(PredictionServing, NarrowFirstQueryRejectedWithoutLatchingDimension) {
+  // The first query latches the server's query dimension. One narrower than
+  // the model's feature indices is refused before it latches anything, and
+  // correctly sized queries after it are served as if it never came.
+  const auto split = cancer_split(2);
+  const auto partition = data::partition_vertically(split.train, 3, 7);
+  const auto params = fast_params(10);
+  const auto linear = train_linear_vertical(partition, params, nullptr);
+  const auto kernel = train_kernel_vertical(partition, svm::Kernel::rbf(0.3),
+                                            params, nullptr);
+  ServingConfig config;
+  config.max_batch = 8;
+  config.max_linger = 0.004;
+  config.cache_slots = 16;
+  const std::vector<double> narrow = {0.5, -0.5};
+  for (const bool use_kernel : {false, true}) {
+    PredictionServer server =
+        use_kernel ? PredictionServer(kernel.model, params, config)
+                   : PredictionServer(linear.model, params, config);
+    EXPECT_THROW(server.submit(0, narrow, 0.0), InvalidArgument);
+    EXPECT_EQ(server.stats().submitted, 0u);
+
+    const std::size_t queries = 24;
+    const auto results = serve_all(server, split.test.x, queries, 0.001);
+    ASSERT_EQ(results.size(), queries);
+    for (std::size_t i = 0; i < queries; ++i) {
+      const auto row = one_row(split.test.x.row(i % split.test.x.rows()));
+      const Vector reference =
+          use_kernel
+              ? secure_vertical_decision_values(kernel.model, row, params)
+              : secure_vertical_decision_values(linear.model, row, params);
+      EXPECT_EQ(results[i].decision_value, reference[0])
+          << (use_kernel ? "kernel" : "linear") << " query " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ppml::core

@@ -114,6 +114,40 @@ TEST(Gram, KernelRowMatchesCrossGram) {
   for (std::size_t j = 0; j < 4; ++j) EXPECT_DOUBLE_EQ(row[j], cross(1, j));
 }
 
+TEST(Gram, KernelRowIsCrossGramRowBitwiseAtEveryIsaLevel) {
+  // Streamed evaluation (the kernel trainers' deferred test trace) computes
+  // one kernel_row per query where it used to keep cross_gram's matrix.
+  // Non-RBF cross grams come from gemm_nt plus an elementwise transform,
+  // rows from the dot_rows strip, so the two must agree bit for bit. Sizes
+  // cross the 4-lane SIMD groups and gemm_nt's 64-row blocks.
+  std::vector<linalg::Isa> isas = {linalg::Isa::kScalar};
+  for (const linalg::Isa isa : {linalg::Isa::kAvx2, linalg::Isa::kAvx512})
+    if (linalg::isa_available(isa)) isas.push_back(isa);
+  const Kernel kernels[] = {Kernel::linear(), Kernel::polynomial(3, 0.5, 1.0),
+                            Kernel::rbf(0.3), Kernel::sigmoid(0.1, -0.2)};
+  std::mt19937_64 rng(29);
+  std::normal_distribution<double> normal;
+  linalg::Matrix a(70, 9);
+  linalg::Matrix b(131, 9);
+  for (double& v : a.data()) v = normal(rng);
+  for (double& v : b.data()) v = normal(rng);
+  for (const linalg::Isa isa : isas) {
+    linalg::force_isa(isa);
+    for (const Kernel& k : kernels) {
+      const linalg::Matrix cross = cross_gram(k, a, b);
+      std::size_t differ = 0;
+      for (std::size_t i = 0; i < a.rows(); ++i) {
+        const linalg::Vector row = kernel_row(k, a.row(i), b);
+        for (std::size_t j = 0; j < b.rows(); ++j)
+          differ += std::bit_cast<std::uint64_t>(row[j]) !=
+                    std::bit_cast<std::uint64_t>(cross(i, j));
+      }
+      EXPECT_EQ(differ, 0u) << k.describe() << " " << linalg::isa_name(isa);
+    }
+  }
+  linalg::clear_forced_isa();
+}
+
 TEST(Gram, CrossGramRejectsWidthMismatch) {
   EXPECT_THROW(
       cross_gram(Kernel::linear(), linalg::Matrix(2, 3), linalg::Matrix(2, 4)),
