@@ -30,7 +30,8 @@ cmake --build build-asan -j"$jobs" --target mapreduce_test chaos_test \
   dropout_recovery_test obs_test qp_test linalg_test microkernel_test \
   consensus_engine_test async_consensus_test grouped_ring_test serving_test \
   privacy_ledger_test crypto_test serde_fuzz_test property_test \
-  core_vertical_test core_horizontal_test edge_cases_test
+  core_vertical_test core_horizontal_test edge_cases_test \
+  cluster_integration_test
 # mapreduce_test covers the out-of-core blockstore: spill/mmap/LRU paths
 # hand out spans into unlinked mapped files — ASan watches the lifetimes.
 ./build-asan/tests/mapreduce_test
@@ -71,6 +72,11 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/core_horizontal_test
 ./build-asan/tests/edge_cases_test
 ./build-asan/tests/consensus_engine_test
 ./build-asan/tests/async_consensus_test
+# The scheme matrix: every scheme, in memory and on the fabric, at every
+# ISA level, untraced and under a full obs session, against one golden
+# digest per scheme.
+./build-asan/tests/cluster_integration_test \
+  --gtest_filter=ClusterIntegration.SchemeMatrixDigestPinned
 ./build-asan/tests/grouped_ring_test
 # serving_test drives spans and flows into deque-managed storage while
 # batches read back cached per-slot scores — prime ASan territory.
@@ -93,13 +99,14 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/crypto_test
 # ThreadSanitizer over the suites that are race-clean today: the metrics
 # registry and flight ring (obs), the executor and fabric under faults
 # (chaos, mapreduce), the ledger's lock-free slot table, threaded gemm,
-# the prediction server's batcher and admission queue (serving), and the
-# consensus engine's party threads, sync and async (consensus_engine,
-# async_consensus).
+# the prediction server's batcher and admission queue (serving), the
+# consensus engine's local steps on the one worker pool, sync and async
+# (consensus_engine, async_consensus), and the scheme matrix, whose kh
+# cells also run learner setup on that pool (cluster_integration).
 cmake -B build-tsan -S . -DPPML_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$jobs" --target obs_test chaos_test \
   mapreduce_test privacy_ledger_test linalg_test serving_test \
-  async_consensus_test consensus_engine_test
+  async_consensus_test consensus_engine_test cluster_integration_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/chaos_test
 ./build-tsan/tests/mapreduce_test
@@ -108,6 +115,8 @@ cmake --build build-tsan -j"$jobs" --target obs_test chaos_test \
 ./build-tsan/tests/serving_test
 ./build-tsan/tests/async_consensus_test
 ./build-tsan/tests/consensus_engine_test
+./build-tsan/tests/cluster_integration_test \
+  --gtest_filter=ClusterIntegration.SchemeMatrixDigestPinned
 
 # Bench smoke: skip the timed google-benchmark cases (empty filter), run
 # only the cache-budget sweep, and require a parseable report with the

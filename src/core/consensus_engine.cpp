@@ -2,15 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <thread>
 
 #include "crypto/prng.h"
+#include "mapreduce/executor.h"
 #include "mapreduce/network.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 
 namespace ppml::core {
+
+mapreduce::Executor& worker_pool() {
+  static mapreduce::Executor pool(
+      std::max(1u, std::thread::hardware_concurrency()));
+  return pool;
+}
 
 // --- policies --------------------------------------------------------------
 
@@ -310,33 +316,16 @@ std::vector<Vector> ConsensusEngine::run_local_steps(
   auto& learners = *learners_;
   std::vector<Vector> contributions(participants.size());
   // Local steps are independent within a round (each learner mutates only
-  // its own state), so fanning them out is bit-identical to serial order.
-  // Single-core hosts stay serial: concurrent QP solves only thrash the
-  // cache there.
-  const bool parallelize = participants.size() > 1 &&
-                           std::thread::hardware_concurrency() > 1;
-  // One attribution root per learner: the span (and everything the QP
-  // solver counts underneath) bills to that party, serial or fanned out.
-  const auto step = [&](std::size_t k) {
+  // its own state), so running them on the pool is bit-identical to serial
+  // order. Each step is one attribution root: its span, and everything the
+  // QP solver counts underneath, bills to that party.
+  worker_pool().parallel_for(participants.size(), [&](std::size_t k) {
     const std::size_t party = participants[k];
     obs::PartyScope scope(party);
     obs::Span span("local_step", "core");
     span.arg("party", static_cast<double>(party));
-    return learners[party]->local_step(broadcast_);
-  };
-  if (parallelize) {
-    std::vector<std::future<Vector>> futures;
-    futures.reserve(participants.size());
-    for (std::size_t k = 0; k < participants.size(); ++k)
-      futures.push_back(std::async(std::launch::async, [&step, k] {
-        return step(k);
-      }));
-    for (std::size_t k = 0; k < participants.size(); ++k)
-      contributions[k] = futures[k].get();
-  } else {
-    for (std::size_t k = 0; k < participants.size(); ++k)
-      contributions[k] = step(k);
-  }
+    contributions[k] = learners[party]->local_step(broadcast_);
+  });
   return contributions;
 }
 

@@ -11,9 +11,10 @@
 //                  built without a policy picks Full or BoundedStaleness
 //                  from AdmmParams::asynchronous().
 //   Transport    — WHERE the round body executes: InMemoryTransport (this
-//                  header) drives learners in-process; FabricTransport
-//                  (core/mapreduce_adapter.h) binds the engine to the
-//                  simulated MapReduce cluster, bytes on the wire included.
+//                  header) drives learners in-process, on worker_pool();
+//                  FabricTransport (core/mapreduce_adapter.h) binds the
+//                  engine to the simulated MapReduce cluster, bytes on the
+//                  wire included.
 //
 // The protocol work of a round — batched masking through
 // crypto::SecureSumSession::contribute (one SecureSumParty::mask per party,
@@ -39,12 +40,18 @@
 #include "crypto/secure_sum_session.h"
 
 namespace ppml::mapreduce {
+class Executor;
 struct FaultPlan;
 }  // namespace ppml::mapreduce
 
 namespace ppml::core {
 
 class ConsensusEngine;
+
+/// The process's one pool for in-process parallel work: in-process engines
+/// run each round's local steps on it, and kh's learner setup its linalg.
+/// It has max(1, hardware_concurrency()) workers, created on first use.
+mapreduce::Executor& worker_pool();
 
 /// Observational tripwire over the ADMM residual series: feed() one
 /// (primal², dual²) pair per round and the watchdog flags a run that is

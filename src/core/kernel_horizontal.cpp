@@ -5,7 +5,6 @@
 
 #include <optional>
 #include <random>
-#include <thread>
 
 #include "linalg/blas.h"
 #include "linalg/cholesky.h"
@@ -212,16 +211,13 @@ KernelHorizontalResult train_kernel_horizontal(
   learners.reserve(m);
   {
     // Learner construction is Gram-matrix heavy (per-shard Kxx, Kxg, the
-    // Woodbury products). Thread it through the blocked linalg kernels by
-    // installing an Executor-backed parallel backend for this setup block
-    // only — the consensus rounds below already parallelize across learners
-    // via std::async, so the scope ends before they start. Results are
-    // bit-identical with or without the backend.
-    mapreduce::Executor pool(
-        std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+    // Woodbury products). Thread it through the blocked linalg kernels on
+    // worker_pool() for this setup block only; the rounds below run the
+    // learners themselves on that pool. Results are bit-identical with or
+    // without the backend.
     const linalg::ParallelScope threaded(
-        [&pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
-          pool.parallel_for(n, fn);
+        [](std::size_t n, const std::function<void(std::size_t)>& fn) {
+          worker_pool().parallel_for(n, fn);
         });
     for (const data::Dataset& shard : partition.shards) {
       auto learner = std::make_shared<KernelHorizontalLearner>(

@@ -1,5 +1,8 @@
 #include "mapreduce/executor.h"
 
+#include <future>
+#include <memory>
+
 #include "linalg/common.h"
 
 namespace ppml::mapreduce {
@@ -41,7 +44,7 @@ void Executor::worker_loop() {
       queue_.pop_front();
     }
     tl_in_worker = true;
-    task();  // packaged_task captures exceptions into the future
+    task();  // a packaged_task: exceptions land in its future
     tl_in_worker = false;
   }
 }
@@ -54,8 +57,16 @@ void Executor::parallel_for(std::size_t n,
   }
   std::vector<std::future<void>> futures;
   futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    futures.push_back(submit([&fn, i] { fn(i); }));
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < n; ++i) {
+      auto task =
+          std::make_shared<std::packaged_task<void()>>([&fn, i] { fn(i); });
+      futures.push_back(task->get_future());
+      queue_.emplace_back([task] { (*task)(); });
+    }
+  }
+  wake_.notify_all();
   std::exception_ptr first_error;
   for (auto& future : futures) {
     try {

@@ -1,11 +1,11 @@
-// Fixed-size thread pool used to run map tasks in parallel, mirroring the
-// per-node task slots of a real cluster.
+// Fixed-size thread pool. A Cluster owns one as its per-node task slots
+// (the paper's mappers); core::worker_pool() is the process's one pool for
+// in-process work (the engine's local steps, kh's learner setup).
 #pragma once
 
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -23,23 +23,9 @@ class Executor {
 
   std::size_t threads() const noexcept { return workers_.size(); }
 
-  /// Enqueue a task; the future reports its result or exception.
-  template <typename F>
-  auto submit(F&& task) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto packaged =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(task));
-    std::future<R> future = packaged->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace_back([packaged] { (*packaged)(); });
-    }
-    wake_.notify_one();
-    return future;
-  }
-
-  /// Run fn(i) for i in [0, n) across the pool and wait; the first thrown
-  /// exception (if any) is rethrown in the caller.
+  /// Run fn(i) for i in [0, n) across the pool and wait; the exception of
+  /// the lowest i that threw (if any) is rethrown in the caller. Called
+  /// from inside any pool's worker, it runs fn(0..n-1) inline instead.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

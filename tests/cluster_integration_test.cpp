@@ -4,14 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <map>
+#include <span>
+#include <string>
 
-#include "core/linear_horizontal.h"
-#include "core/mapreduce_adapter.h"
-#include "core/vertical.h"
+#include "core/cluster_trainers.h"
+#include "core/glm_vertical.h"
 #include "data/generators.h"
 #include "data/standardize.h"
+#include "obs/flight_recorder.h"
 #include "obs/obs.h"
+#include "obs/privacy_ledger.h"
 #include "svm/metrics.h"
+#include "trace_digest.h"
 
 namespace ppml::core {
 namespace {
@@ -85,25 +91,174 @@ ClusterRun run_linear_horizontal_on_cluster(
   return run;
 }
 
-TEST(ClusterIntegration, MatchesInMemoryTrainingExactly) {
-  const auto split = cancer_split();
+// --- The scheme matrix -----------------------------------------------------
+// Every scheme trains at one small shape: the cancer split, 4 horizontal or
+// 3 vertical learners, 15 rounds, RBF gamma = 0.1 over 20 landmarks. The
+// four paper schemes run in memory and through train_*_on_cluster; ridge
+// and logistic, which have no fabric trainer, in memory only. Each cell
+// runs at every ISA level, forced in-process, once untraced and once under
+// its own full obs::Session (tracer, metrics, flight recorder, ledger: a
+// shared ledger would rightly flag the second run's pads as reused). Every
+// cell of a scheme must give that scheme's one golden digest of the model
+// and the per-round ||dz||^2, bit for bit.
+
+constexpr std::size_t kMatrixRounds = 15;
+
+/// Folds runs of doubles, bit for bit, into one FNV-1a digest.
+struct Digest {
+  std::uint64_t h = testing::kFnvOffset;
+  Digest& add(std::span<const double> v) {
+    h = testing::fnv1a_bits(h, v);
+    return *this;
+  }
+  Digest& add(double d) { return add({&d, 1}); }
+};
+
+/// The per-round ||dz||^2 of an in-memory run.
+std::vector<double> deltas(const ConvergenceTrace& trace) {
+  std::vector<double> out;
+  for (const IterationRecord& r : trace.records) out.push_back(r.z_delta_sq);
+  return out;
+}
+
+/// A model's numbers, then the run's per-round ||dz||^2 `d`.
+std::uint64_t digest(const svm::LinearModel& m, std::span<const double> d) {
+  return Digest{}.add(m.w).add(m.b).add(d).h;
+}
+
+std::uint64_t digest(const svm::KernelModel& m, std::span<const double> d) {
+  return Digest{}.add(m.points.data()).add(m.coeffs).add(m.b).add(d).h;
+}
+
+std::uint64_t digest(const VerticalLinearModelView& m,
+                     std::span<const double> d) {
+  Digest out;
+  for (const Vector& w : m.w_blocks) out.add(w);
+  return out.add(m.b).add(d).h;
+}
+
+std::uint64_t digest(const VerticalKernelModelView& m,
+                     std::span<const double> d) {
+  Digest out;
+  for (const Vector& alpha : m.alphas) out.add(alpha);
+  return out.add(m.b).add(d).h;
+}
+
+struct MatrixCell {
+  const char* scheme;
+  const char* transport;
+  std::function<std::uint64_t()> run;
+};
+
+std::vector<MatrixCell> scheme_matrix(const data::SplitDataset& split) {
+  const auto horizontal = data::partition_horizontally(split.train, 4, 7);
+  const auto vertical = data::partition_vertically(split.train, 3, 7);
   AdmmParams params;
-  params.max_iterations = 20;
+  params.max_iterations = kMatrixRounds;
+  params.landmarks = 20;
+  const svm::Kernel kernel = svm::Kernel::rbf(0.1);
+  GlmParams glm;
+  glm.admm.max_iterations = kMatrixRounds;
 
-  // In-memory reference.
-  const auto partition = data::partition_horizontally(split.train, 4, 7);
-  const auto reference = train_linear_horizontal(partition, params, nullptr);
+  const auto on_cluster = [](std::size_t learners, auto train) {
+    mapreduce::Cluster cluster(cluster_config(learners + 1));
+    const auto result = train(cluster);
+    EXPECT_EQ(result.cluster.delta_trace.size(), kMatrixRounds);
+    return digest(result.model, result.cluster.delta_trace);
+  };
+  const auto in_memory = [](const auto& result) {
+    EXPECT_EQ(result.trace.records.size(), kMatrixRounds);
+    return digest(result.model, deltas(result.trace));
+  };
 
-  // Cluster run with the same parameters and protocol seed.
-  mapreduce::Cluster cluster(cluster_config(5));
-  const ClusterRun run =
-      run_linear_horizontal_on_cluster(split, params, cluster);
+  return {
+      {"lh", "memory",
+       [=] { return in_memory(train_linear_horizontal(horizontal, params)); }},
+      {"lh", "cluster",
+       [=] {
+         return on_cluster(4, [&](mapreduce::Cluster& c) {
+           return train_linear_horizontal_on_cluster(c, horizontal, params);
+         });
+       }},
+      {"kh", "memory",
+       [=] {
+         return in_memory(train_kernel_horizontal(horizontal, kernel, params));
+       }},
+      {"kh", "cluster",
+       [=] {
+         return on_cluster(4, [&](mapreduce::Cluster& c) {
+           return train_kernel_horizontal_on_cluster(c, horizontal, kernel,
+                                                     params);
+         });
+       }},
+      {"lv", "memory",
+       [=] { return in_memory(train_linear_vertical(vertical, params)); }},
+      {"lv", "cluster",
+       [=] {
+         return on_cluster(3, [&](mapreduce::Cluster& c) {
+           return train_linear_vertical_on_cluster(c, vertical, params);
+         });
+       }},
+      {"kv", "memory",
+       [=] {
+         return in_memory(train_kernel_vertical(vertical, kernel, params));
+       }},
+      {"kv", "cluster",
+       [=] {
+         return on_cluster(3, [&](mapreduce::Cluster& c) {
+           return train_kernel_vertical_on_cluster(c, vertical, kernel,
+                                                   params);
+         });
+       }},
+      {"ridge-h", "memory",
+       [=] { return in_memory(train_ridge_horizontal(horizontal, glm)); }},
+      {"logistic-h", "memory",
+       [=] { return in_memory(train_logistic_horizontal(horizontal, glm)); }},
+      {"ridge-v", "memory",
+       [=] { return in_memory(train_ridge_vertical(vertical, glm)); }},
+      {"logistic-v", "memory",
+       [=] { return in_memory(train_logistic_vertical(vertical, glm)); }},
+  };
+}
 
-  ASSERT_EQ(run.model.w.size(), reference.model.w.size());
-  for (std::size_t j = 0; j < run.model.w.size(); ++j)
-    EXPECT_NEAR(run.model.w[j], reference.model.w[j], 1e-9) << j;
-  EXPECT_NEAR(run.model.b, reference.model.b, 1e-9);
-  EXPECT_EQ(run.result.delta_trace.size(), 20u);
+std::uint64_t run_in_full_session(const MatrixCell& cell) {
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  obs::FlightRecorder recorder;
+  obs::PrivacyLedger ledger;
+  std::uint64_t d = 0;
+  {
+    obs::Session session(&tracer, &metrics, &recorder, &ledger);
+    d = cell.run();
+  }
+  EXPECT_GT(tracer.span_count(), 0u) << cell.scheme << " " << cell.transport;
+  return d;
+}
+
+TEST(ClusterIntegration, SchemeMatrixDigestPinned) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"lh", 0x0FBE03F93872B1DFULL},
+      {"kh", 0x3B633D7B3322942CULL},
+      {"lv", 0x2CD28EC7361E2AE4ULL},
+      {"kv", 0x2120AA96643874C6ULL},
+      {"ridge-h", 0xC3C41E55EDA4BB21ULL},
+      {"logistic-h", 0xA4E3175C78D2968DULL},
+      {"ridge-v", 0x7BBA81BFB69C868CULL},
+      {"logistic-v", 0x55F6A802862B2182ULL},
+  };
+  const auto split = cancer_split();
+  const std::vector<MatrixCell> cells = scheme_matrix(split);
+  for (const linalg::Isa isa : testing::available_isas()) {
+    linalg::force_isa(isa);
+    for (const MatrixCell& cell : cells) {
+      const std::string where = std::string(cell.scheme) + " " +
+                                cell.transport + " " + linalg::isa_name(isa);
+      EXPECT_EQ(cell.run(), golden.at(cell.scheme)) << where << " untraced";
+      EXPECT_EQ(run_in_full_session(cell), golden.at(cell.scheme))
+          << where << " traced";
+    }
+  }
+  linalg::clear_forced_isa();
 }
 
 TEST(ClusterIntegration, TracingDoesNotPerturbTraining) {

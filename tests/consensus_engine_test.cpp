@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "core/consensus_engine.h"
 #include "core/linear_horizontal.h"
@@ -775,6 +779,105 @@ TEST(GroupedRingTopology, EngineRekeyPreservesTopology) {
   EXPECT_EQ(engine.session().config().group_size, 3u);
   EXPECT_EQ(engine.session().epoch(), 1u);
   EXPECT_FALSE(engine.session().epoch_active());
+}
+
+// ---------------------------------------------------------------------------
+// Local steps run on one bounded pool: no more steps are in flight at once
+// than the host has hardware threads, every learner steps once per round,
+// and a throwing step reaches the caller without wedging the pool.
+// ---------------------------------------------------------------------------
+
+/// Counts the local steps in flight across every probe sharing `gauge`.
+/// Each step sleeps briefly so that steps able to overlap do overlap.
+class OverlapProbeLearner final : public ConsensusLearner {
+ public:
+  struct Gauge {
+    std::atomic<std::size_t> in_flight{0};
+    std::atomic<std::size_t> peak{0};
+  };
+
+  /// Throws ppml::Error from step number `throw_on_step` (1-based; 0 never).
+  explicit OverlapProbeLearner(Gauge& gauge, std::size_t throw_on_step = 0)
+      : gauge_(gauge), throw_on_step_(throw_on_step) {}
+
+  std::size_t contribution_dim() const override { return 2; }
+
+  Vector local_step(const Vector&) override {
+    const std::size_t now = gauge_.in_flight.fetch_add(1) + 1;
+    std::size_t peak = gauge_.peak.load();
+    while (now > peak && !gauge_.peak.compare_exchange_weak(peak, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    gauge_.in_flight.fetch_sub(1);
+    if (++steps_ == throw_on_step_)
+      throw Error("probe local step failed in round " +
+                  std::to_string(steps_));
+    return Vector{0.5, static_cast<double>(steps_)};
+  }
+
+  std::size_t steps() const { return steps_; }
+
+ private:
+  Gauge& gauge_;
+  std::size_t throw_on_step_;
+  std::size_t steps_ = 0;
+};
+
+TEST(ConsensusEnginePool, BoundsConcurrentLocalStepsSyncAndAsync) {
+  constexpr std::size_t kLearners = 64;
+  constexpr std::size_t kRounds = 3;
+  const std::size_t bound =
+      std::max(1u, std::thread::hardware_concurrency());
+  for (const bool async : {false, true}) {
+    AdmmParams params = async ? async_degenerate_params(1) : base_params(1);
+    params.max_iterations = kRounds;
+    OverlapProbeLearner::Gauge gauge;
+    std::vector<std::shared_ptr<OverlapProbeLearner>> probes;
+    std::vector<std::shared_ptr<ConsensusLearner>> learners;
+    for (std::size_t i = 0; i < kLearners; ++i) {
+      probes.push_back(std::make_shared<OverlapProbeLearner>(gauge));
+      learners.push_back(probes.back());
+    }
+    AveragingCoordinator coordinator(2);
+    FullParticipation sync_policy;
+    BoundedStalenessPolicy async_policy;
+    RoundPolicy& policy = async ? static_cast<RoundPolicy&>(async_policy)
+                                : static_cast<RoundPolicy&>(sync_policy);
+    ConsensusEngine engine(learners, coordinator, params, policy);
+    InMemoryTransport transport;
+    EXPECT_EQ(engine.run(transport).iterations, kRounds);
+
+    const char* mode = async ? "async" : "sync";
+    EXPECT_GE(gauge.peak.load(), 1u) << mode;
+    EXPECT_LE(gauge.peak.load(), bound) << mode;
+    for (const auto& probe : probes) EXPECT_EQ(probe->steps(), kRounds) << mode;
+  }
+}
+
+TEST(ConsensusEnginePool, ThrowingLocalStepPropagatesAndPoolStaysUsable) {
+  OverlapProbeLearner::Gauge gauge;
+  std::vector<std::shared_ptr<ConsensusLearner>> learners;
+  for (std::size_t i = 0; i < 8; ++i)
+    learners.push_back(
+        std::make_shared<OverlapProbeLearner>(gauge, i == 3 ? 2 : 0));
+  AveragingCoordinator coordinator(2);
+  FullParticipation policy;
+  const AdmmParams params = base_params(1);
+  ConsensusEngine engine(learners, coordinator, params, policy);
+  InMemoryTransport transport;
+  try {
+    engine.run(transport);
+    ADD_FAILURE() << "the throwing local step did not reach the caller";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "probe local step failed in round 2");
+  }
+  // Every step the round started had finished before the error surfaced.
+  EXPECT_EQ(gauge.in_flight.load(), 0u);
+
+  // A later run in the same process still trains to its golden digest.
+  FullParticipation full;
+  EXPECT_EQ(run_digest(run_policy(make_partition(4), base_params(1), full)),
+            kFullDigest);
 }
 
 }  // namespace

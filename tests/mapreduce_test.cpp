@@ -646,12 +646,6 @@ TEST(Executor, PropagatesExceptions) {
                std::runtime_error);
 }
 
-TEST(Executor, SubmitReturnsValue) {
-  Executor executor(1);
-  auto future = executor.submit([] { return 41 + 1; });
-  EXPECT_EQ(future.get(), 42);
-}
-
 // -------------------------------------------------------- iterative job
 
 /// Toy mapper: contributes its configured constant; also exercises the peer
