@@ -72,7 +72,7 @@ RunStats run_job(const data::SplitDataset& split, std::size_t m,
 
   const auto start = std::chrono::steady_clock::now();
   core::ConsensusEngine engine(m, coordinator, params);
-  core::FabricTransport transport(cluster, shards, factory,
+  core::FabricTransport transport(cluster, std::move(shards), factory,
                                   /*reducer_node=*/m);
   engine.run(transport);
   const auto stop = std::chrono::steady_clock::now();
@@ -551,7 +551,7 @@ HiggsScaleStats run_higgs_scale(std::size_t rows, std::size_t learners,
 
   const auto start = std::chrono::steady_clock::now();
   core::ConsensusEngine engine(learners, coordinator, params);
-  core::FabricTransport transport(cluster, shards, factory,
+  core::FabricTransport transport(cluster, std::move(shards), factory,
                                   /*reducer_node=*/learners);
   engine.run(transport);
   const auto stop = std::chrono::steady_clock::now();

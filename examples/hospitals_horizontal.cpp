@@ -58,7 +58,7 @@ int main() {
       };
 
   core::ConsensusEngine engine(kHospitals, coordinator, params);
-  core::FabricTransport transport(cluster, shards, factory,
+  core::FabricTransport transport(cluster, std::move(shards), factory,
                                   /*reducer_node=*/kHospitals);
   engine.run(transport);
   const mapreduce::JobStats& job = transport.job_stats();

@@ -31,7 +31,7 @@ cmake --build build-asan -j"$jobs" --target mapreduce_test chaos_test \
   consensus_engine_test async_consensus_test grouped_ring_test serving_test \
   privacy_ledger_test crypto_test serde_fuzz_test property_test \
   core_vertical_test core_horizontal_test edge_cases_test \
-  cluster_integration_test
+  cluster_integration_test data_test
 # mapreduce_test covers the out-of-core blockstore: spill/mmap/LRU paths
 # hand out spans into unlinked mapped files — ASan watches the lifetimes.
 ./build-asan/tests/mapreduce_test
@@ -70,6 +70,10 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/core_horizontal_test
 # views, secure prediction) a feature matrix narrower than the partition:
 # each must throw before it reads a column that is not there.
 ./build-asan/tests/edge_cases_test
+# data_test pins shuffle_rows, which permutes rows in place by walking the
+# cycles of its permutation with one spare row, and the split that gathers
+# both sides straight from its input: index arithmetic over one buffer.
+./build-asan/tests/data_test
 ./build-asan/tests/consensus_engine_test
 ./build-asan/tests/async_consensus_test
 # The scheme matrix: every scheme, in memory and on the fabric, at every

@@ -12,17 +12,18 @@ void check_cluster(const mapreduce::Cluster& cluster, std::size_t learners) {
 }
 
 /// The consensus loop as an iterative MapReduce job: an engine on the
-/// policy `params` selects, driven by a FabricTransport that stores learner
-/// i's shard on node i and runs the reducer on node M.
+/// policy `params` selects, driven by a FabricTransport that moves learner
+/// i's shard into the block store on node i and runs the reducer on node M.
 ClusterTrainResult run_on_fabric(mapreduce::Cluster& cluster,
-                                 const std::vector<mapreduce::Bytes>& shards,
+                                 std::vector<mapreduce::Bytes> shards,
                                  const LearnerFactory& factory,
                                  ConsensusCoordinator& coordinator,
                                  const AdmmParams& params,
                                  mapreduce::JobConfig job_config) {
-  ConsensusEngine engine(shards.size(), coordinator, params);
-  FabricTransport transport(cluster, shards, factory,
-                            /*reducer_node=*/shards.size(), job_config);
+  const std::size_t m = shards.size();
+  ConsensusEngine engine(m, coordinator, params);
+  FabricTransport transport(cluster, std::move(shards), factory,
+                            /*reducer_node=*/m, job_config);
   ClusterTrainResult result;
   result.run = engine.run(transport);
   result.job = transport.job_stats();
@@ -56,7 +57,8 @@ LinearHorizontalClusterResult train_linear_horizontal_on_cluster(
 
   LinearHorizontalClusterResult result;
   result.cluster =
-      run_on_fabric(cluster, shards, factory, coordinator, params, job_config);
+      run_on_fabric(cluster, std::move(shards), factory, coordinator,
+                    params, job_config);
   result.model = svm::LinearModel{coordinator.z(), coordinator.s()};
   return result;
 }
@@ -94,7 +96,8 @@ KernelHorizontalClusterResult train_kernel_horizontal_on_cluster(
 
   KernelHorizontalClusterResult result;
   result.cluster =
-      run_on_fabric(cluster, shards, factory, coordinator, params, job_config);
+      run_on_fabric(cluster, std::move(shards), factory, coordinator,
+                    params, job_config);
   PPML_CHECK(typed.front() != nullptr,
              "train_kernel_horizontal_on_cluster: learner 0 never ran");
   result.model = typed.front()->build_model();
@@ -126,7 +129,8 @@ LinearVerticalClusterResult train_linear_vertical_on_cluster(
 
   LinearVerticalClusterResult result;
   result.cluster =
-      run_on_fabric(cluster, shards, factory, coordinator, params, job_config);
+      run_on_fabric(cluster, std::move(shards), factory, coordinator,
+                    params, job_config);
   result.model.feature_indices = partition.feature_indices;
   result.model.b = coordinator.bias();
   for (const auto& learner : typed) {
@@ -163,7 +167,8 @@ KernelVerticalClusterResult train_kernel_vertical_on_cluster(
 
   KernelVerticalClusterResult result;
   result.cluster =
-      run_on_fabric(cluster, shards, factory, coordinator, params, job_config);
+      run_on_fabric(cluster, std::move(shards), factory, coordinator,
+                    params, job_config);
   result.model.kernel = kernel;
   result.model.feature_indices = partition.feature_indices;
   result.model.b = coordinator.bias();

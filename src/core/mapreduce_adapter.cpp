@@ -235,12 +235,12 @@ class FabricReducerShim final : public mapreduce::IterativeReducer {
 }  // namespace
 
 FabricTransport::FabricTransport(mapreduce::Cluster& cluster,
-                                 const std::vector<Bytes>& shards,
+                                 std::vector<Bytes> shards,
                                  LearnerFactory factory,
                                  mapreduce::NodeId reducer_node,
                                  mapreduce::JobConfig job_config)
     : cluster_(cluster),
-      shards_(shards),
+      shards_(std::move(shards)),
       factory_(std::move(factory)),
       reducer_node_(reducer_node),
       job_config_(job_config) {}
@@ -248,7 +248,8 @@ FabricTransport::FabricTransport(mapreduce::Cluster& cluster,
 ConsensusRunResult FabricTransport::run(ConsensusEngine& engine,
                                         const RoundObserver& observer) {
   const std::size_t m = shards_.size();
-  PPML_CHECK(m >= 2, "FabricTransport: need >= 2 learners");
+  PPML_CHECK(m >= 2, "FabricTransport: need >= 2 learners (one transport "
+                     "drives one run: run() moves its shards out)");
   PPML_CHECK(engine.num_learners() == m,
              "FabricTransport: engine learner count != shard count");
   PPML_CHECK(cluster_.num_nodes() >= m,
@@ -279,13 +280,15 @@ ConsensusRunResult FabricTransport::run(ConsensusEngine& engine,
   job_config_.max_rounds = params.max_iterations;
   mapreduce::IterativeJob job(cluster_, job_config_);
 
-  // Each learner's shard lives on its own node — data locality. Mappers get
-  // the engine session's config (and, seeded, their epoch-0 seed row — one
-  // key agreement for the whole cohort).
+  // Each learner's shard lives on its own node — data locality. The bytes
+  // move into the block store, which holds them from then on (it plays
+  // the node's disk and serves task retries). Mappers get the engine
+  // session's config (and, seeded, their epoch-0 seed row — one key
+  // agreement for the whole cohort).
   const crypto::SecureSumConfig& config = engine.session_config();
   for (std::size_t i = 0; i < m; ++i) {
     const mapreduce::BlockId block = cluster_.store_shard(
-        "learner" + std::to_string(i) + "/shard", shards_[i], i);
+        "learner" + std::to_string(i) + "/shard", std::move(shards_[i]), i);
     std::vector<std::uint64_t> seed_row;
     if (config.variant == crypto::MaskVariant::kSeededMasks)
       seed_row = engine.session().pairwise_seeds()[i];
@@ -293,6 +296,7 @@ ConsensusRunResult FabricTransport::run(ConsensusEngine& engine,
                        i, m, block, factory_, config, std::move(seed_row)),
                    block);
   }
+  shards_.clear();
 
   auto reducer = std::make_shared<FabricReducerShim>(
       engine, observer, delta_trace_, dropout_events_);

@@ -76,11 +76,14 @@ struct ClusterTrainResult {
 class FabricTransport final : public Transport {
  public:
   /// `shards[i]` is learner i's serialized private data, stored on node i
-  /// (with the cluster's replication factor). Requires
+  /// (with the cluster's replication factor). The transport owns the
+  /// shards and run() moves each one into the block store, so the payload
+  /// is held once, by the node that plays its disk; pass them with
+  /// std::move unless the caller still needs its own copy. Requires
   /// cluster.num_nodes() >= shards.size(); a distinct reducer node is
   /// recommended (the paper's reducer is a separate role).
   FabricTransport(mapreduce::Cluster& cluster,
-                  const std::vector<mapreduce::Bytes>& shards,
+                  std::vector<mapreduce::Bytes> shards,
                   LearnerFactory factory, mapreduce::NodeId reducer_node,
                   mapreduce::JobConfig job_config = {});
 
@@ -97,7 +100,7 @@ class FabricTransport final : public Transport {
 
  private:
   mapreduce::Cluster& cluster_;
-  const std::vector<mapreduce::Bytes>& shards_;
+  std::vector<mapreduce::Bytes> shards_;  ///< emptied as run() places them
   LearnerFactory factory_;
   mapreduce::NodeId reducer_node_;
   mapreduce::JobConfig job_config_;

@@ -41,11 +41,17 @@ struct SplitDataset {
   Dataset test;
 };
 
-/// Shuffle rows in place using the given seed (deterministic).
+/// Shuffle rows in place using the given seed (deterministic): row i ends
+/// up holding old row order[i], where order is 0..N-1 shuffled by
+/// std::shuffle under std::mt19937_64(seed). Permutes x and y inside their
+/// own buffers; allocates only the N-entry order and one spare row.
 void shuffle_rows(Dataset& dataset, std::uint64_t seed);
 
 /// Split into train/test with `train_fraction` of rows in train, after a
-/// deterministic shuffle. The paper evaluates at 50/50.
+/// deterministic shuffle: the same order shuffle_rows draws, its first
+/// floor(N * train_fraction) entries to train and the rest to test. Each
+/// side is gathered straight from `dataset`, so the split allocates only
+/// its two sides and the N-entry order. The paper evaluates at 50/50.
 SplitDataset train_test_split(const Dataset& dataset, double train_fraction,
                               std::uint64_t seed);
 

@@ -129,8 +129,11 @@ void symv_lower(const Matrix& a, std::span<const double> diag,
 void gemv_t(const Matrix& a, std::span<const double> x, std::span<double> out) {
   PPML_CHECK(a.rows() == x.size() && a.cols() == out.size(),
              "gemv_t: shape mismatch");
+  // out[j] = 0.0 + x[0] a(0, j) + x[1] a(1, j) + ..., ascending rows: one
+  // rank_update over all of a.
   std::fill(out.begin(), out.end(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) axpy(x[i], a.row(i), out);
+  microkernels().rank_update(x.data(), a.data().data(), a.cols(), a.rows(),
+                             out.data(), a.cols());
 }
 
 Vector gemv_t(const Matrix& a, std::span<const double> x) {

@@ -11,7 +11,7 @@
 //   sqdist_rows  out[r] = sum_k (x[k] - b_r[k])^2     (RBF kernel rows)
 //   rank_update  y[j] += a[p] * x_p[j], p ascending   (Cholesky panel and
 //                                                      trailing update,
-//                                                      symv_lower)
+//                                                      symv_lower, gemv_t)
 //
 // Each primitive has a scalar implementation (the exact loops the blocked
 // paths used before this seam existed) and an AVX2 implementation selected

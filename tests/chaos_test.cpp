@@ -220,8 +220,8 @@ TEST(Chaos, SurvivorSumCorrectionIsBitExact) {
   mapreduce::JobConfig job_config;
   job_config.tolerate_mapper_loss = true;
   ConsensusEngine engine(m, coordinator, params);
-  FabricTransport transport(cluster, shards, factory, /*reducer_node=*/m,
-                            job_config);
+  FabricTransport transport(cluster, std::move(shards), factory,
+                            /*reducer_node=*/m, job_config);
   engine.run(transport);
 
   EXPECT_EQ(transport.job_stats().rounds, 8u);

@@ -80,8 +80,8 @@ ClusterRun run_linear_horizontal_on_cluster(
   };
 
   ConsensusEngine engine(4, coordinator, params);
-  FabricTransport transport(cluster, shards, factory, /*reducer_node=*/4,
-                            job_config);
+  FabricTransport transport(cluster, std::move(shards), factory,
+                            /*reducer_node=*/4, job_config);
   ClusterRun run;
   run.result.run = engine.run(transport);
   run.result.job = transport.job_stats();
@@ -469,11 +469,21 @@ TEST(ClusterIntegration, VerticalSchemeRunsOnCluster) {
     return learner;
   };
 
+  // The transport moves each payload into the block store: the store
+  // serves the very buffers the caller serialized, so no copy is made.
+  std::vector<const std::uint8_t*> payloads;
+  for (const Bytes& shard : shards) payloads.push_back(shard.data());
+
   mapreduce::Cluster cluster(cluster_config(5));
   ConsensusEngine engine(4, coordinator, params);
-  FabricTransport transport(cluster, shards, factory, /*reducer_node=*/4);
+  FabricTransport transport(cluster, std::move(shards), factory,
+                            /*reducer_node=*/4);
   engine.run(transport);
   EXPECT_EQ(transport.job_stats().rounds, 40u);
+  ASSERT_EQ(cluster.storage().block_count(), 4u);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(cluster.storage().read_local(i + 1, i).data(), payloads[i])
+        << "learner " << i;
 
   VerticalLinearModelView view;
   view.feature_indices = partition.feature_indices;

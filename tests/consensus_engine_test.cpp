@@ -242,7 +242,8 @@ RunRecord run_on_cluster(const data::HorizontalPartition& partition,
 
   AveragingCoordinator coordinator(partition.shards.front().features() + 1);
   ConsensusEngine engine(m, coordinator, params);
-  FabricTransport transport(cluster, shards, factory, /*reducer_node=*/m);
+  FabricTransport transport(cluster, std::move(shards), factory,
+                            /*reducer_node=*/m);
 
   RunRecord record;
   record.run = engine.run(transport);

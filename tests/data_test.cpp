@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -9,6 +11,7 @@
 #include "data/io.h"
 #include "data/partition.h"
 #include "data/standardize.h"
+#include "trace_digest.h"
 
 namespace ppml::data {
 namespace {
@@ -80,6 +83,117 @@ TEST(Split, DifferentSeedsDiffer) {
   const SplitDataset a = train_test_split(d, 0.5, 1);
   const SplitDataset b = train_test_split(d, 0.5, 2);
   EXPECT_NE(a.train.x, b.train.x);
+}
+
+// --- bit pins -------------------------------------------------------------
+//
+// One FNV-1a digest per dataset over its shape, rows, labels and name. The
+// goldens were recorded when shuffle_rows still built a permuted copy and
+// train_test_split still shuffled a copy of its input; the in-place cycle
+// walk and the copy-free split must reproduce them bit for bit.
+
+std::uint64_t dataset_digest(const Dataset& d) {
+  const double shape[] = {static_cast<double>(d.x.rows()),
+                          static_cast<double>(d.x.cols())};
+  std::uint64_t h = testing::fnv1a_bits(testing::kFnvOffset, shape);
+  h = testing::fnv1a_bits(h, d.x.data());
+  h = testing::fnv1a_bits(h, d.y);
+  for (const char c : d.name) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// n x 3 rows, every value distinct and row i tagged by x(i, 0) == i.
+Dataset numbered_dataset(std::size_t n) {
+  Dataset d;
+  d.name = "numbered";
+  d.x.resize(n, 3);
+  d.y.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    d.x(i, 0) = static_cast<double>(i);
+    d.x(i, 1) = 0.5 * static_cast<double>(i) + 0.25;
+    d.x(i, 2) = -static_cast<double>(i * i) / 7.0;
+    d.y[i] = (i * 2654435761u) % 3 == 0 ? 1.0 : -1.0;
+  }
+  return d;
+}
+
+TEST(ShuffleRows, DigestPinned) {
+  const std::pair<std::size_t, std::uint64_t> pins[] = {
+      {0, 0x57922f71c9754479ULL},
+      {1, 0x339ac05e592962b8ULL},
+      {2, 0xbb04b322cb18827dULL},
+      {1001, 0xaa49a21ed11cbc3cULL}};
+  for (const auto& [n, golden] : pins) {
+    Dataset d = numbered_dataset(n);
+    shuffle_rows(d, 77);
+    EXPECT_EQ(dataset_digest(d), golden) << "n = " << n << " digest 0x"
+                                         << std::hex << dataset_digest(d);
+  }
+}
+
+TEST(ShuffleRows, RowIHoldsOldRowOrderI) {
+  // The documented order: iota, mt19937_64(seed), std::shuffle.
+  const std::size_t n = 1001;
+  const Dataset before = numbered_dataset(n);
+  Dataset after = before;
+  shuffle_rows(after, 5);
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::mt19937_64 rng(5);
+  std::shuffle(order.begin(), order.end(), rng);
+  EXPECT_EQ(after.x, before.subset(order).x);
+  EXPECT_EQ(after.y, before.subset(order).y);
+  EXPECT_EQ(after.name, before.name);
+}
+
+TEST(ShuffleRows, PermutesInPlace) {
+  Dataset d = numbered_dataset(1001);
+  const double* rows = d.x.data().data();
+  const double* labels = d.y.data();
+  shuffle_rows(d, 3);
+  EXPECT_EQ(d.x.data().data(), rows);
+  EXPECT_EQ(d.y.data(), labels);
+}
+
+TEST(Split, DigestPinnedAtOddSizes) {
+  const struct {
+    double fraction;
+    std::uint64_t train, test;
+  } pins[] = {{0.5, 0x78dcff0481cf2b14ULL, 0xfd84ae98f84f4ef8ULL},
+               {0.6, 0x2eb2472337d5637fULL, 0xb9749431be614178ULL}};
+  const Dataset d = numbered_dataset(1001);
+  for (const auto& pin : pins) {
+    const SplitDataset s = train_test_split(d, pin.fraction, 42);
+    EXPECT_EQ(dataset_digest(s.train), pin.train)
+        << pin.fraction << " train 0x" << std::hex << dataset_digest(s.train);
+    EXPECT_EQ(dataset_digest(s.test), pin.test)
+        << pin.fraction << " test 0x" << std::hex << dataset_digest(s.test);
+  }
+}
+
+TEST(Generators, DigestPinned) {
+  GaussianTaskConfig task;
+  task.samples = 301;
+  task.features = 5;
+  task.latent_dim = 2;
+  task.label_noise = 0.05;
+  task.seed = 9;
+  const std::pair<const char*, Dataset> cases[] = {
+      {"higgs", make_higgs_like(3, 1201)},
+      {"cancer", make_cancer_like(3)},
+      {"ocr", make_ocr_like(1, 701)},
+      {"xor", make_xor_blobs(401, 0.25, 2)},
+      {"gaussian", make_gaussian_task(task)}};
+  const std::uint64_t goldens[] = {0x971ab31aa09fc421ULL, 0x447e4b7c8c9a9704ULL,
+                                   0x12baaea0de3c1a9cULL, 0xab4a33f82e81d7f9ULL,
+                                   0x56a0e6b08227b459ULL};
+  for (std::size_t i = 0; i < std::size(cases); ++i)
+    EXPECT_EQ(dataset_digest(cases[i].second), goldens[i])
+        << cases[i].first << " digest 0x" << std::hex
+        << dataset_digest(cases[i].second);
 }
 
 TEST(Generators, CancerLikeShapeMatchesPaperDataset) {

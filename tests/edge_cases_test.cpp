@@ -166,7 +166,7 @@ TEST(GlmOnCluster, LogisticRunsThroughMapReduceAdapter) {
   config.num_nodes = 4;
   mapreduce::Cluster cluster(config);
   core::ConsensusEngine engine(3, coordinator, glm.admm);
-  core::FabricTransport transport(cluster, shards, factory,
+  core::FabricTransport transport(cluster, std::move(shards), factory,
                                   /*reducer_node=*/3);
   engine.run(transport);
   EXPECT_EQ(transport.job_stats().rounds, 40u);
@@ -200,7 +200,7 @@ TEST(GlmOnCluster, MatchesInMemoryLogistic) {
   config.num_nodes = 4;
   mapreduce::Cluster cluster(config);
   core::ConsensusEngine engine(3, coordinator, glm.admm);
-  core::FabricTransport transport(cluster, shards, factory,
+  core::FabricTransport transport(cluster, std::move(shards), factory,
                                   /*reducer_node=*/3);
   engine.run(transport);
   const svm::LinearModel on_cluster{coordinator.z(), coordinator.s()};

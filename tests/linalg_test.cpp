@@ -15,6 +15,7 @@
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "linalg/parallel.h"
+#include "trace_digest.h"
 
 namespace ppml::linalg {
 namespace {
@@ -131,6 +132,34 @@ TEST(Blas, GemvAgainstHand) {
   EXPECT_EQ(out, (Vector{3.0, 7.0, 11.0}));
   const Vector out_t = gemv_t(a, Vector{1.0, 1.0, 1.0});
   EXPECT_EQ(out_t, (Vector{9.0, 12.0}));
+}
+
+TEST(Blas, GemvTIsPerRowLoopBitwiseAtEveryIsaLevel) {
+  // out[j] = 0.0 + x[0] a(0, j) + x[1] a(1, j) + ... in ascending row
+  // order, one multiply and one add per row: the per-row axpy loop.
+  std::mt19937_64 rng(17);
+  std::normal_distribution<double> normal;
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 3}, {1, 1}, {37, 3}, {2000, 4}, {5, 17}, {9, 0}};
+  for (const Isa isa : testing::available_isas()) {
+    force_isa(isa);
+    for (const auto& [rows, cols] : shapes) {
+      Matrix a(rows, cols);
+      for (double& v : a.data()) v = normal(rng) * 1e3;
+      Vector x(rows);
+      for (double& v : x) v = normal(rng);
+      Vector expected(cols, 0.0);
+      for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t j = 0; j < cols; ++j) expected[j] += x[i] * a(i, j);
+      const Vector out = gemv_t(a, x);
+      ASSERT_EQ(out.size(), cols);
+      for (std::size_t j = 0; j < cols; ++j)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[j]),
+                  std::bit_cast<std::uint64_t>(expected[j]))
+            << isa_name(isa) << " " << rows << "x" << cols << " col " << j;
+    }
+  }
+  clear_forced_isa();
 }
 
 TEST(Blas, GemmAgainstHand) {
