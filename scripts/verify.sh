@@ -22,6 +22,11 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B build -S . >/dev/null
 cmake --build build -j"$jobs"
+# The tier1 label includes data_alloc_test and fabric_alloc_test, which
+# count heap allocations through a replaced global operator new; they run
+# in this unsanitized build only (a sanitizer's allocator would count its
+# own). fabric_alloc_test holds a steady linear-vertical fabric round to
+# at most M + 2 allocations of 64 KiB or more.
 ctest --test-dir build --output-on-failure -j"$jobs" -L tier1
 ctest --test-dir build --output-on-failure -j"$jobs" -LE tier1
 
@@ -76,11 +81,14 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/core_horizontal_test
 ./build-asan/tests/data_test
 ./build-asan/tests/consensus_engine_test
 ./build-asan/tests/async_consensus_test
-# The scheme matrix: every scheme, in memory and on the fabric, at every
-# ISA level, untraced and under a full obs session, against one golden
-# digest per scheme.
-./build-asan/tests/cluster_integration_test \
-  --gtest_filter=ClusterIntegration.SchemeMatrixDigestPinned
+# The whole cluster suite, scheme matrix included (every scheme, in memory
+# and on the fabric, at every ISA level, untraced and under a full obs
+# session, against one golden digest per scheme). The driver recycles its
+# frame buffers and hands mappers and the reducer views into received
+# frames, so a frame released too early would be a use after free here;
+# chaos_test, mapreduce_test and dropout_recovery_test above take the
+# same frames through drops, duplicates, corruption, crashes and rejoins.
+./build-asan/tests/cluster_integration_test
 ./build-asan/tests/grouped_ring_test
 # serving_test drives spans and flows into deque-managed storage while
 # batches read back cached per-slot scores — prime ASan territory.
@@ -105,22 +113,26 @@ PPML_FORCE_ISA=scalar ./build-asan/tests/crypto_test
 # (chaos, mapreduce), the ledger's lock-free slot table, threaded gemm,
 # the prediction server's batcher and admission queue (serving), the
 # consensus engine's local steps on the one worker pool, sync and async
-# (consensus_engine, async_consensus), and the scheme matrix, whose kh
-# cells also run learner setup on that pool (cluster_integration).
+# (consensus_engine, async_consensus), and the whole cluster suite, whose
+# kh cells also run learner setup on that pool (cluster_integration). The
+# fabric's recycled frames are written by map tasks on executor threads
+# and read and released by the driver: chaos, mapreduce, dropout_recovery
+# and cluster_integration take them through every fault path.
 cmake -B build-tsan -S . -DPPML_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$jobs" --target obs_test chaos_test \
   mapreduce_test privacy_ledger_test linalg_test serving_test \
-  async_consensus_test consensus_engine_test cluster_integration_test
+  async_consensus_test consensus_engine_test cluster_integration_test \
+  dropout_recovery_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/chaos_test
 ./build-tsan/tests/mapreduce_test
+./build-tsan/tests/dropout_recovery_test
 ./build-tsan/tests/privacy_ledger_test
 ./build-tsan/tests/linalg_test
 ./build-tsan/tests/serving_test
 ./build-tsan/tests/async_consensus_test
 ./build-tsan/tests/consensus_engine_test
-./build-tsan/tests/cluster_integration_test \
-  --gtest_filter=ClusterIntegration.SchemeMatrixDigestPinned
+./build-tsan/tests/cluster_integration_test
 
 # Bench smoke: skip the timed google-benchmark cases (empty filter), run
 # only the cache-budget sweep, and require a parseable report with the

@@ -644,21 +644,35 @@ const Vector& ConsensusEngine::step_round_async(std::size_t round) {
   return broadcast_;
 }
 
-ConsensusEngine::ReduceOutcome ConsensusEngine::reduce_round(
+const ConsensusEngine::ReduceOutcome& ConsensusEngine::reduce_round(
     std::size_t round, std::span<const std::size_t> mask_set,
     std::span<const std::size_t> present,
     const std::vector<std::vector<std::uint64_t>>& contributions) {
-  ReduceOutcome out;
-  Vector average;
+  return reduce_round_of(round, mask_set, present, contributions);
+}
+
+const ConsensusEngine::ReduceOutcome& ConsensusEngine::reduce_round(
+    std::size_t round, std::span<const std::size_t> mask_set,
+    std::span<const std::size_t> present,
+    crypto::SecureSumSession::WireContributions contributions) {
+  return reduce_round_of(round, mask_set, present, contributions);
+}
+
+template <typename Contributions>
+const ConsensusEngine::ReduceOutcome& ConsensusEngine::reduce_round_of(
+    std::size_t round, std::span<const std::size_t> mask_set,
+    std::span<const std::size_t> present,
+    const Contributions& contributions) {
+  ReduceOutcome& out = reduce_outcome_;
+  const Vector* average = nullptr;
   {
     obs::Span sum_span("secure_sum", "core");
-    average =
-        session_.reduce_average(round, mask_set, present, contributions,
-                                &out.audit);
+    average = &session_.reduce_average(round, mask_set, present,
+                                       contributions, &out.audit);
   }
   Vector z_prev;
   if (obs::enabled()) z_prev = broadcast_;
-  broadcast_ = combine_and_record(average, z_prev, nullptr);
+  broadcast_ = combine_and_record(*average, z_prev, nullptr);
   out.broadcast = broadcast_;
   return out;
 }

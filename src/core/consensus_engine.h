@@ -348,11 +348,18 @@ class ConsensusEngine {
   /// Reducer-side round body: aggregate `contributions` (indexed by party,
   /// empty = absent) masked against `mask_set`, recovering any party in
   /// mask_set \ present, then combine and record. The transport owns
-  /// mask-set tracking and membership.
-  ReduceOutcome reduce_round(
+  /// mask-set tracking and membership. The outcome lives in the engine,
+  /// refilled in place by the next call.
+  const ReduceOutcome& reduce_round(
       std::size_t round, std::span<const std::size_t> mask_set,
       std::span<const std::size_t> present,
       const std::vector<std::vector<std::uint64_t>>& contributions);
+  /// Same round over wire bytes (SecureSumSession::WireContributions): the
+  /// fabric reducer's views into its received frames.
+  const ReduceOutcome& reduce_round(
+      std::size_t round, std::span<const std::size_t> mask_set,
+      std::span<const std::size_t> present,
+      crypto::SecureSumSession::WireContributions contributions);
 
   /// Re-key the secure-sum session for a new key-agreement epoch (a learner
   /// rejoined; the old seeds are burned). Distributed transports only.
@@ -395,6 +402,12 @@ class ConsensusEngine {
       const std::vector<std::size_t>& participants);
   Vector combine_and_record(const Vector& average, const Vector& z_prev,
                             const std::vector<std::size_t>* active);
+  /// reduce_round's body over either contribution form.
+  template <typename Contributions>
+  const ReduceOutcome& reduce_round_of(std::size_t round,
+                                       std::span<const std::size_t> mask_set,
+                                       std::span<const std::size_t> present,
+                                       const Contributions& contributions);
 
   /// One party's view of the asynchronous simulation: the local step it is
   /// busy computing (value fixed at dispatch, revealed at busy_until), and
@@ -437,6 +450,7 @@ class ConsensusEngine {
   std::size_t deadline_expirations_ = 0;
   std::size_t staleness_drops_ = 0;
   ReduceOutcome async_outcome_;
+  ReduceOutcome reduce_outcome_;  ///< reduce_round's, kept across rounds
 };
 
 }  // namespace ppml::core

@@ -13,20 +13,29 @@ using mapreduce::Bytes;
 using mapreduce::Reader;
 using mapreduce::Writer;
 
-namespace {
-
-Bytes serialize_doubles(const Vector& v) {
-  Writer writer;
-  writer.reserve(mapreduce::wire_size_words(v.size()));
-  writer.put_double_vector(v);
-  return writer.take();
-}
-
-Vector deserialize_doubles(const Bytes& payload) {
-  if (payload.empty()) return {};
+void deserialize_doubles(mapreduce::BytesView payload, Vector& out) {
+  out.clear();
+  if (payload.empty()) return;
   Reader reader(payload);
-  return reader.get_double_vector();
+  reader.get_double_vector(out);
+  reader.expect_exhausted("broadcast");
 }
+
+void deserialize_masked(mapreduce::BytesView payload,
+                        std::vector<std::uint64_t>& out) {
+  Reader reader(payload);
+  reader.get_u64_vector(out);
+  reader.expect_exhausted("masked vector");
+}
+
+mapreduce::BytesView masked_word_bytes(mapreduce::BytesView payload) {
+  Reader reader(payload);
+  const mapreduce::BytesView words = reader.get_u64_vector_bytes();
+  reader.expect_exhausted("masked vector");
+  return words;
+}
+
+namespace {
 
 /// Map() participant: loads its shard data-locally, runs the learner, and
 /// only ever emits masked contributions. Holds one SecureSumParty derived
@@ -103,19 +112,23 @@ class SecureConsensusMapper final : public mapreduce::IterativeMapper {
     return out;
   }
 
-  Bytes map(std::size_t round, const Bytes& broadcast,
-            const std::vector<Bytes>& peer_messages) override {
+  void map(std::size_t round, mapreduce::BytesView broadcast,
+           std::span<const mapreduce::BytesView> peer_messages,
+           Writer& out) override {
     PPML_CHECK(learner_ != nullptr, "SecureConsensusMapper: not configured");
-    const Vector contribution =
-        learner_->local_step(deserialize_doubles(broadcast));
+    deserialize_doubles(broadcast, broadcast_);
+    const Vector contribution = learner_->local_step(broadcast_);
 
-    std::vector<std::uint64_t> masked;
+    // The masked words go straight into the contribution frame, as one
+    // length-prefixed u64 vector.
+    out.put_u64(contribution.size());
+    const std::span<std::uint8_t> wire = out.extend(8 * contribution.size());
     if (config_.variant == crypto::MaskVariant::kSeededMasks) {
       // Masks run over the live set, so against a shrunken cohort the
       // survivors' masks cancel without any reducer-side correction. Every
       // mapper derives the same edge set from the sorted live set, so
       // mapper- and reducer-side edge sets always agree.
-      masked = party_->mask(contribution, round, live_);
+      party_->mask(contribution, round, live_, wire);
     } else {
       if (sent_round_ != round) {
         sent_cache_ =
@@ -125,19 +138,14 @@ class SecureConsensusMapper final : public mapreduce::IterativeMapper {
       std::vector<std::vector<std::uint64_t>> received(peer_messages.size());
       for (std::size_t j = 0; j < peer_messages.size(); ++j) {
         if (j == index_ || peer_messages[j].empty()) continue;
-        Reader reader(peer_messages[j]);
-        received[j] = reader.get_u64_vector();
+        deserialize_masked(peer_messages[j], received[j]);
       }
       const std::vector<std::span<const std::uint64_t>> sent_views(
           sent_cache_.begin(), sent_cache_.end());
       const std::vector<std::span<const std::uint64_t>> received_views(
           received.begin(), received.end());
-      masked = party_->mask(contribution, sent_views, received_views, round);
+      party_->mask(contribution, sent_views, received_views, round, wire);
     }
-    Writer writer;
-    writer.reserve(mapreduce::wire_size_words(masked.size()));
-    writer.put_u64_vector(masked);
-    return writer.take();
   }
 
  private:
@@ -153,12 +161,14 @@ class SecureConsensusMapper final : public mapreduce::IterativeMapper {
   // Exchanged-variant per-round mask cache (filled by exchange()).
   std::vector<std::vector<std::uint64_t>> sent_cache_;
   std::size_t sent_round_ = static_cast<std::size_t>(-1);
+  Vector broadcast_;  ///< the decoded broadcast, refilled every round
 };
 
 /// Reduce() shim: deserializes the round's contributions, tracks the set
 /// the masks were generated against, and delegates every piece of protocol
 /// work — aggregation, Shamir dropout recovery, coordinator combine,
-/// convergence, series recording — to ConsensusEngine::reduce_round.
+/// convergence, series recording — to ConsensusEngine::reduce_round, which
+/// sums the masked words straight out of the received frames.
 class FabricReducerShim final : public mapreduce::IterativeReducer {
  public:
   FabricReducerShim(ConsensusEngine& engine, RoundObserver observer,
@@ -172,35 +182,35 @@ class FabricReducerShim final : public mapreduce::IterativeReducer {
     for (std::size_t i = 0; i < mask_set_.size(); ++i) mask_set_[i] = i;
   }
 
-  Bytes reduce(std::size_t round,
-               const std::vector<Bytes>& contributions) override {
+  void reduce(std::size_t round,
+              std::span<const mapreduce::BytesView> contributions,
+              Writer& broadcast) override {
     // Who the masks were generated against vs. who actually delivered.
-    std::vector<std::size_t> present;
-    std::vector<std::vector<std::uint64_t>> wire(contributions.size());
+    present_.clear();
+    words_.assign(contributions.size(), {});
     for (std::size_t i : mask_set_) {
       if (i < contributions.size() && !contributions[i].empty()) {
-        Reader reader(contributions[i]);
-        wire[i] = reader.get_u64_vector();
-        present.push_back(i);
+        words_[i] = masked_word_bytes(contributions[i]);
+        present_.push_back(i);
       }
     }
-    PPML_CHECK(!present.empty(), "FabricReducerShim: empty round");
+    PPML_CHECK(!present_.empty(), "FabricReducerShim: empty round");
 
-    const ConsensusEngine::ReduceOutcome outcome =
-        engine_.reduce_round(round, mask_set_, present, wire);
+    const ConsensusEngine::ReduceOutcome& outcome =
+        engine_.reduce_round(round, mask_set_, present_, words_);
     if (!outcome.audit.dropped.empty()) {
       for (DropoutEvent& event : dropout_events_) {
         if (event.round == round && event.corrected &&
             event.corrected_sum.empty()) {
-          event.survivors = present;
+          event.survivors = present_;
           event.corrected_sum = outcome.audit.decoded_sum;
         }
       }
     }
-    mask_set_ = present;
+    mask_set_ = present_;
     delta_trace_.push_back(engine_.last_delta_sq());
     if (observer_) observer_(round);
-    return serialize_doubles(outcome.broadcast);
+    broadcast.put_double_vector(outcome.broadcast);
   }
 
   bool converged() const override { return engine_.converged(); }
@@ -230,6 +240,8 @@ class FabricReducerShim final : public mapreduce::IterativeReducer {
   std::vector<DropoutEvent>& dropout_events_;
   std::vector<std::size_t> mask_set_;  ///< set this round's masks cover
   std::size_t epoch_ = 0;
+  std::vector<std::size_t> present_;  ///< who delivered this round
+  std::vector<mapreduce::BytesView> words_;  ///< masked words, by mapper
 };
 
 }  // namespace
@@ -330,6 +342,7 @@ data::Dataset deserialize_horizontal_shard(mapreduce::BytesView payload) {
   shard.name = reader.get_string();
   shard.x = reader.get_matrix();
   shard.y = reader.get_double_vector();
+  reader.expect_exhausted("horizontal shard");
   shard.validate();
   return shard;
 }
@@ -343,7 +356,9 @@ Bytes serialize_vertical_block(const linalg::Matrix& block) {
 
 linalg::Matrix deserialize_vertical_block(mapreduce::BytesView payload) {
   Reader reader(payload);
-  return reader.get_matrix();
+  linalg::Matrix block = reader.get_matrix();
+  reader.expect_exhausted("vertical block");
+  return block;
 }
 
 }  // namespace ppml::core

@@ -117,4 +117,16 @@ data::Dataset deserialize_horizontal_shard(mapreduce::BytesView payload);
 mapreduce::Bytes serialize_vertical_block(const linalg::Matrix& block);
 linalg::Matrix deserialize_vertical_block(mapreduce::BytesView payload);
 
+/// Round payload decoders of the fabric's mapper and reducer. A broadcast
+/// is one double vector (an empty payload decodes to an empty vector: the
+/// cold start), decoded into a buffer the mapper keeps across rounds. A
+/// contribution, like an exchanged peer mask, is one u64 vector of masked
+/// words: deserialize_masked decodes it, masked_word_bytes returns the view
+/// of its little-endian words that the reducer sums in place. All throw
+/// ppml::Error on a short payload and on any byte after the vector.
+void deserialize_doubles(mapreduce::BytesView payload, Vector& out);
+void deserialize_masked(mapreduce::BytesView payload,
+                        std::vector<std::uint64_t>& out);
+mapreduce::BytesView masked_word_bytes(mapreduce::BytesView payload);
+
 }  // namespace ppml::core

@@ -27,8 +27,9 @@ LinearVerticalLearner::LinearVerticalLearner(linalg::Matrix block,
 }
 
 Vector LinearVerticalLearner::local_step(const Vector& broadcast) {
-  // d = X w^t + (zbar - cbar - u); on the cold start both terms are zero.
-  Vector d = c_;
+  // d = X w^t + (zbar - cbar - u), formed in c_ (which holds X w^t until
+  // the new w overwrites it); on the cold start both terms are zero.
+  Vector& d = c_;
   if (!broadcast.empty()) {
     PPML_CHECK(broadcast.size() == rows_,
                "LinearVerticalLearner: bad broadcast size");
@@ -38,7 +39,7 @@ Vector LinearVerticalLearner::local_step(const Vector& broadcast) {
   Vector xtd = linalg::gemv_t(block_, d);
   w_ = factor_->solve(xtd);
   linalg::scale(rho_, w_);
-  c_ = linalg::gemv(block_, w_);
+  linalg::gemv(block_, w_, c_);
   return c_;
 }
 
@@ -77,21 +78,26 @@ Vector KernelVerticalLearner::local_step(const Vector& broadcast) {
 VerticalCoordinator::VerticalCoordinator(Vector labels,
                                          std::size_t num_learners,
                                          const AdmmParams& params)
-    : y_(std::move(labels)),
-      m_(num_learners),
-      rho_(params.rho),
-      c_(params.c) {
+    : m_(num_learners), rho_(params.rho), c_(params.c) {
   PPML_CHECK(num_learners >= 2, "VerticalCoordinator: need M >= 2");
-  PPML_CHECK(!y_.empty(), "VerticalCoordinator: empty labels");
-  for (double label : y_)
+  PPML_CHECK(!labels.empty(), "VerticalCoordinator: empty labels");
+  for (double label : labels)
     PPML_CHECK(label == 1.0 || label == -1.0,
                "VerticalCoordinator: labels must be +/-1");
-  u_.assign(y_.size(), 0.0);
-  zeta_.assign(y_.size(), 0.0);
+  const std::size_t n = labels.size();
+  dual_.d.assign(n, static_cast<double>(m_) / rho_);
+  dual_.p.resize(n);
+  dual_.y = std::move(labels);
+  dual_.c = c_;
+  dual_.delta = 0.0;
+  q_.resize(n);
+  u_.assign(n, 0.0);
+  zeta_.assign(n, 0.0);
 }
 
 Vector VerticalCoordinator::combine(const Vector& average) {
-  const std::size_t n = y_.size();
+  const Vector& y = dual_.y;
+  const std::size_t n = y.size();
   PPML_CHECK(average.size() == n, "VerticalCoordinator: bad average size");
   const double mm = static_cast<double>(m_);
   const Vector& cbar = average;
@@ -100,30 +106,22 @@ Vector VerticalCoordinator::combine(const Vector& average) {
   //   min C sum hinge(y_i (zeta_i + b)) + rho/(2M) ||zeta - q||^2,
   //   q = M (cbar + u)  =>  dual: d_i = M/rho, p_i = 1 - y_i q_i,
   //   0 <= lambda <= C, y^T lambda = 0;  zeta = q + (M/rho) Y lambda.
-  Vector q(n);
-  for (std::size_t i = 0; i < n; ++i) q[i] = mm * (cbar[i] + u_[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    q_[i] = mm * (cbar[i] + u_[i]);
+    dual_.p[i] = 1.0 - y[i] * q_[i];
+  }
+  const qp::Result& solved = qp::solve_diagonal_qp(dual_, qp_workspace_);
 
-  qp::DiagonalQpProblem dual;
-  dual.d.assign(n, mm / rho_);
-  dual.p.resize(n);
-  for (std::size_t i = 0; i < n; ++i) dual.p[i] = 1.0 - y_[i] * q[i];
-  dual.y = y_;
-  dual.c = c_;
-  dual.delta = 0.0;
-  const qp::Result solved = qp::solve_diagonal_qp(dual);
-
-  Vector zeta_new(n);
-  for (std::size_t i = 0; i < n; ++i)
-    zeta_new[i] = q[i] + (mm / rho_) * y_[i] * solved.x[i];
-
-  b_ = svm::recover_bias(solved.x, y_, zeta_new, c_);
-
+  // zeta moves to q + (M/rho) Y lambda in place, ||dzeta||^2 summed as
+  // it goes.
   delta_sq_ = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double d = zeta_new[i] - zeta_[i];
+    const double zeta_new = q_[i] + (mm / rho_) * y[i] * solved.x[i];
+    const double d = zeta_new - zeta_[i];
     delta_sq_ += d * d;
+    zeta_[i] = zeta_new;
   }
-  zeta_ = std::move(zeta_new);
+  b_ = svm::recover_bias(solved.x, y, zeta_, c_);
 
   // u^{k+1} = u^k + cbar - zbar;  broadcast = zbar - cbar - u^{k+1}.
   Vector broadcast(n);

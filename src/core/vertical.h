@@ -23,6 +23,7 @@
 #include "core/consensus.h"
 #include "data/partition.h"
 #include "linalg/cholesky.h"
+#include "qp/diagonal_qp.h"
 #include "svm/model.h"
 
 namespace ppml::core {
@@ -74,7 +75,10 @@ class KernelVerticalLearner final : public ConsensusLearner {
 };
 
 /// Reduce() side, shared by both vertical variants. Holds the (agreed,
-/// shared) labels and solves the hinge proximal step exactly.
+/// shared) labels and solves the hinge proximal step exactly. Every N-wide
+/// buffer of the step is kept across rounds: the dual's constant d and y
+/// are set once, its p, the prox point q and the QP workspace are refilled
+/// in place.
 class VerticalCoordinator final : public ConsensusCoordinator {
  public:
   VerticalCoordinator(Vector labels, std::size_t num_learners,
@@ -89,10 +93,12 @@ class VerticalCoordinator final : public ConsensusCoordinator {
   const Vector& zeta() const noexcept { return zeta_; }
 
  private:
-  Vector y_;
   std::size_t m_;
   double rho_;
   double c_;
+  qp::DiagonalQpProblem dual_;  // d = M/rho and y = labels, set once
+  qp::DiagonalQpWorkspace qp_workspace_;
+  Vector q_;     // M (cbar + u): the prox point
   Vector u_;     // scaled dual (average form)
   Vector zeta_;  // M * zbar
   double b_ = 0.0;

@@ -70,29 +70,41 @@ double FixedPointCodec::decode(std::uint64_t r) const {
 
 std::vector<std::uint64_t> FixedPointCodec::encode_vector(
     std::span<const double> v) const {
+  std::vector<std::uint64_t> out(v.size());
+  encode_into(v, out);
+  return out;
+}
+
+std::vector<double> FixedPointCodec::decode_vector(
+    std::span<const std::uint64_t> r) const {
+  std::vector<double> out(r.size());
+  decode_into(r, out);
+  return out;
+}
+
+void FixedPointCodec::encode_into(std::span<const double> v,
+                                  std::span<std::uint64_t> out) const {
+  PPML_CHECK(out.size() == v.size(), "FixedPointCodec: size mismatch");
   // Range first, over the whole span: the first value encode() rejects
   // (non-finite or over max_encodable_) throws encode()'s own error. After
   // it every |v[i] * scale_| <= 2^62, so each conversion below fits int64,
   // and the product is exact because scale_ is a power of two.
   for (const double x : v)
     if (!(std::abs(x) <= max_encodable_)) encode(x);
-  std::vector<std::uint64_t> out(v.size());
   convert_scaled(v, scale_, out.data());
   obs::count("crypto.fp_encode", static_cast<std::int64_t>(v.size()));
-  return out;
 }
 
-std::vector<double> FixedPointCodec::decode_vector(
-    std::span<const std::uint64_t> r) const {
+void FixedPointCodec::decode_into(std::span<const std::uint64_t> r,
+                                  std::span<double> out) const {
+  PPML_CHECK(out.size() == r.size(), "FixedPointCodec: size mismatch");
   // x * 2^-f is the correctly rounded x / 2^f: the same double decode()
   // returns, for a multiply instead of a divide.
   const double inv_scale =
       std::ldexp(1.0, -static_cast<int>(fractional_bits_));
-  std::vector<double> out(r.size());
   for (std::size_t i = 0; i < r.size(); ++i)
     out[i] = static_cast<double>(static_cast<std::int64_t>(r[i])) * inv_scale;
   obs::count("crypto.fp_decode", static_cast<std::int64_t>(r.size()));
-  return out;
 }
 
 double FixedPointCodec::quantization_bound(std::size_t terms) const noexcept {

@@ -43,6 +43,11 @@ class FixedPointCodec {
   std::vector<std::uint64_t> encode_vector(std::span<const double> v) const;
   /// decode() of every element, bit for bit.
   std::vector<double> decode_vector(std::span<const std::uint64_t> r) const;
+  /// The same conversions into a caller's buffer of the input's size.
+  void encode_into(std::span<const double> v,
+                   std::span<std::uint64_t> out) const;
+  void decode_into(std::span<const std::uint64_t> r,
+                   std::span<double> out) const;
 
   /// Worst-case absolute quantization error of a sum of `terms` encoded
   /// values: terms * 2^-(fractional_bits+1).

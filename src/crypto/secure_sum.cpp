@@ -1,6 +1,7 @@
 #include "crypto/secure_sum.h"
 
 #include <algorithm>
+#include <array>
 
 #include "obs/obs.h"
 
@@ -57,43 +58,104 @@ std::vector<std::vector<std::uint64_t>> SecureSumParty::outgoing_masks(
   return out;
 }
 
-std::vector<std::uint64_t> SecureSumParty::mask(
-    std::span<const double> values, PeerStreams sent, PeerStreams received,
-    std::size_t round) const {
+namespace {
+
+/// Encodes `values` kMaskChunkWords at a time into one stack chunk, lets
+/// `mask_chunk(offset, words)` mask it in place, and hands the result to
+/// `store(offset, words)`. Modular addition commutes, so masking a chunk
+/// stream by stream gives the words whole-vector masking gives.
+template <typename MaskChunk, typename Store>
+void masked_chunks(const FixedPointCodec& codec,
+                   std::span<const double> values, MaskChunk mask_chunk,
+                   Store store) {
+  std::array<std::uint64_t, SecureSumParty::kMaskChunkWords> chunk;
+  for (std::size_t at = 0; at < values.size(); at += chunk.size()) {
+    const std::span<std::uint64_t> words(
+        chunk.data(), std::min(chunk.size(), values.size() - at));
+    codec.encode_into(values.subspan(at, words.size()), words);
+    mask_chunk(at, words);
+    store(at, std::span<const std::uint64_t>(words));
+  }
+}
+
+/// Store for the vector-returning masks.
+auto into_words(std::vector<std::uint64_t>& out) {
+  return [&out](std::size_t at, std::span<const std::uint64_t> words) {
+    std::copy(words.begin(), words.end(), out.begin() + at);
+  };
+}
+
+/// Store for the wire masks: little-endian 8-byte words on every host.
+auto into_wire(std::span<std::uint8_t> wire, std::size_t words) {
+  PPML_CHECK(wire.size() == 8 * words,
+             "SecureSumParty::mask: wire span must hold 8 bytes per value");
+  return [wire](std::size_t at, std::span<const std::uint64_t> chunk) {
+    std::uint8_t* p = wire.data() + 8 * at;
+    for (const std::uint64_t w : chunk)
+      for (int b = 0; b < 8; ++b) *p++ = static_cast<std::uint8_t>(w >> (8 * b));
+  };
+}
+
+}  // namespace
+
+template <typename Store>
+void SecureSumParty::mask_exchanged(std::span<const double> values,
+                                    PeerStreams sent, PeerStreams received,
+                                    std::size_t round, Store store) const {
   PPML_CHECK(variant_ == MaskVariant::kExchangedMasks,
              "SecureSumParty::mask(sent, received): exchanged variant only");
   PPML_CHECK(sent.size() == num_parties_ && received.size() == num_parties_,
              "SecureSumParty::mask: need one mask slot per party");
-  std::vector<std::uint64_t> out = codec_.encode_vector(values);
-  // + Sed_i: the masks this party generated for its peers this round.
-  for (std::size_t peer = 0; peer < num_parties_; ++peer) {
-    if (peer == party_id_) continue;
-    PPML_CHECK(sent[peer].size() == values.size(),
+  for (std::size_t peer = 0; peer < num_parties_; ++peer)
+    PPML_CHECK(peer == party_id_ || sent[peer].size() == values.size(),
                "SecureSumParty::mask: sent mask dimension mismatch");
-    ring_add_inplace(out, sent[peer]);
-  }
-  // - Rev_i: the masks received from peers.
-  for (std::size_t peer = 0; peer < num_parties_; ++peer) {
-    if (peer == party_id_) continue;
-    PPML_CHECK(received[peer].size() == values.size(),
+  for (std::size_t peer = 0; peer < num_parties_; ++peer)
+    PPML_CHECK(peer == party_id_ || received[peer].size() == values.size(),
                "SecureSumParty::mask: received mask dimension mismatch");
-    ring_sub_inplace(out, received[peer]);
-  }
+  masked_chunks(
+      codec_, values,
+      [&](std::size_t at, std::span<std::uint64_t> words) {
+        // + Sed_i: the masks this party generated for its peers this round.
+        for (std::size_t peer = 0; peer < num_parties_; ++peer)
+          if (peer != party_id_)
+            ring_add_inplace(words, sent[peer].subspan(at, words.size()));
+        // - Rev_i: the masks received from peers.
+        for (std::size_t peer = 0; peer < num_parties_; ++peer)
+          if (peer != party_id_)
+            ring_sub_inplace(words, received[peer].subspan(at, words.size()));
+      },
+      store);
   obs::count("crypto.masked_contributions");
   if (obs::PrivacyLedger* ledger = obs::privacy_ledger()) {
     ledger->note_pad_use(detail::exchanged_pad_key(party_id_, sent),
                          obs::PrivacyLedger::fingerprint(values),
                          static_cast<int>(party_id_),
                          static_cast<int>(party_id_), round, "exchanged");
-    ledger->note_contribution(static_cast<std::int64_t>(out.size()),
-                              static_cast<std::int64_t>(out.size() * 8));
+    ledger->note_contribution(static_cast<std::int64_t>(values.size()),
+                              static_cast<std::int64_t>(values.size() * 8));
   }
-  return out;
 }
 
 std::vector<std::uint64_t> SecureSumParty::mask(
-    std::span<const double> values, std::size_t round,
-    std::span<const std::size_t> participants) const {
+    std::span<const double> values, PeerStreams sent, PeerStreams received,
+    std::size_t round) const {
+  std::vector<std::uint64_t> out(values.size());
+  mask_exchanged(values, sent, received, round, into_words(out));
+  return out;
+}
+
+void SecureSumParty::mask(std::span<const double> values, PeerStreams sent,
+                          PeerStreams received, std::size_t round,
+                          std::span<std::uint8_t> wire) const {
+  mask_exchanged(values, sent, received, round,
+                 into_wire(wire, values.size()));
+}
+
+template <typename Store>
+void SecureSumParty::mask_seeded(std::span<const double> values,
+                                 std::size_t round,
+                                 std::span<const std::size_t> participants,
+                                 Store store) const {
   PPML_CHECK(variant_ == MaskVariant::kSeededMasks,
              "SecureSumParty::mask(round, participants): seeded variant only");
   bool included = false;
@@ -114,19 +176,29 @@ std::vector<std::uint64_t> SecureSumParty::mask(
       if (p != party_id_) peers.push_back(p);
   }
 
-  std::vector<std::uint64_t> out = codec_.encode_vector(values);
-  std::vector<std::uint64_t> stream(values.size());
-  for (std::size_t peer : peers) {
-    ChaCha20Stream prg(pairwise_seeds_[peer], round);
-    prg.fill(stream);
-    // Antisymmetric sign convention: the lower-id party adds, the higher-id
-    // party subtracts, so each pair's masks cancel in the reducer's sum.
-    if (party_id_ < peer) {
-      ring_add_inplace(out, stream);
-    } else {
-      ring_sub_inplace(out, stream);
-    }
-  }
+  // One keystream per edge, each advanced one chunk at a time.
+  std::vector<ChaCha20Stream> streams;
+  streams.reserve(peers.size());
+  for (std::size_t peer : peers)
+    streams.emplace_back(pairwise_seeds_[peer], round);
+  std::array<std::uint64_t, kMaskChunkWords> pad;
+  masked_chunks(
+      codec_, values,
+      [&](std::size_t, std::span<std::uint64_t> words) {
+        const std::span<std::uint64_t> stream(pad.data(), words.size());
+        for (std::size_t k = 0; k < peers.size(); ++k) {
+          streams[k].fill(stream);
+          // Antisymmetric sign convention: the lower-id party adds, the
+          // higher-id party subtracts, so each pair's masks cancel in the
+          // reducer's sum.
+          if (party_id_ < peers[k]) {
+            ring_add_inplace(words, stream);
+          } else {
+            ring_sub_inplace(words, stream);
+          }
+        }
+      },
+      store);
   const auto edges = static_cast<std::int64_t>(peers.size());
   obs::count("crypto.masks_generated", edges);
   obs::count("crypto.masked_contributions");
@@ -142,10 +214,23 @@ std::vector<std::uint64_t> SecureSumParty::mask(
           fp, static_cast<int>(party_id_), static_cast<int>(peer), round,
           "seeded");
     ledger->note_masks(edges);
-    ledger->note_contribution(static_cast<std::int64_t>(out.size()),
-                              static_cast<std::int64_t>(out.size() * 8));
+    ledger->note_contribution(static_cast<std::int64_t>(values.size()),
+                              static_cast<std::int64_t>(values.size() * 8));
   }
+}
+
+std::vector<std::uint64_t> SecureSumParty::mask(
+    std::span<const double> values, std::size_t round,
+    std::span<const std::size_t> participants) const {
+  std::vector<std::uint64_t> out(values.size());
+  mask_seeded(values, round, participants, into_words(out));
   return out;
+}
+
+void SecureSumParty::mask(std::span<const double> values, std::size_t round,
+                          std::span<const std::size_t> participants,
+                          std::span<std::uint8_t> wire) const {
+  mask_seeded(values, round, participants, into_wire(wire, values.size()));
 }
 
 std::vector<std::vector<std::uint64_t>> agree_pairwise_seeds(

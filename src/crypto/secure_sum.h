@@ -86,9 +86,37 @@ class SecureSumParty {
                                   PeerStreams sent, PeerStreams received,
                                   std::size_t round) const;
 
+  /// The same masked words, written to `wire` as little-endian 8-byte
+  /// words, the wire layout (wire.size() == 8 * values.size()): a caller's
+  /// contribution frame, filled in place. Both variants encode and mask
+  /// kMaskChunkWords words at a time; the seeded one expands each peer's
+  /// ChaCha20 stream one chunk (16 blocks) at a time, so no N-word stream
+  /// is ever held.
+  void mask(std::span<const double> values, std::size_t round,
+            std::span<const std::size_t> participants,
+            std::span<std::uint8_t> wire) const;
+  void mask(std::span<const double> values, PeerStreams sent,
+            PeerStreams received, std::size_t round,
+            std::span<std::uint8_t> wire) const;
+
+  /// Words per masking chunk: 16 ChaCha20 blocks, one AVX-512 keystream
+  /// batch.
+  static constexpr std::size_t kMaskChunkWords = 128;
+
   const FixedPointCodec& codec() const noexcept { return codec_; }
 
  private:
+  /// The masking routine of each variant: masks `values` chunk by chunk
+  /// and hands every masked chunk to `store(offset, words)`.
+  template <typename Store>
+  void mask_seeded(std::span<const double> values, std::size_t round,
+                   std::span<const std::size_t> participants,
+                   Store store) const;
+  template <typename Store>
+  void mask_exchanged(std::span<const double> values, PeerStreams sent,
+                      PeerStreams received, std::size_t round,
+                      Store store) const;
+
   std::size_t party_id_;
   std::size_t num_parties_;
   FixedPointCodec codec_;

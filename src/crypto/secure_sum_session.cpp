@@ -188,26 +188,62 @@ void SecureSumSession::exchange_round(std::size_t round, std::size_t dim) {
   exchange_dim_ = dim;
 }
 
-std::vector<double> SecureSumSession::reduce_average(
+const std::vector<double>& SecureSumSession::reduce_average(
     std::size_t round, std::span<const std::size_t> mask_set,
     std::span<const std::size_t> present,
     const std::vector<std::vector<std::uint64_t>>& contributions,
+    ReduceAudit* audit) {
+  return reduce_average_of(
+      round, mask_set, present,
+      [&](std::size_t i) {
+        return i < contributions.size() ? contributions[i].size() : 0;
+      },
+      [&](std::size_t i) { ring_add_inplace(acc_, contributions[i]); },
+      audit);
+}
+
+const std::vector<double>& SecureSumSession::reduce_average(
+    std::size_t round, std::span<const std::size_t> mask_set,
+    std::span<const std::size_t> present, WireContributions wire,
+    ReduceAudit* audit) {
+  return reduce_average_of(
+      round, mask_set, present,
+      [&](std::size_t i) { return i < wire.size() ? wire[i].size() / 8 : 0; },
+      [&](std::size_t i) {
+        PPML_CHECK(wire[i].size() == 8 * acc_.size(),
+                   "SecureSumSession::reduce_average: wire contribution is "
+                   "not a whole number of words");
+        const std::uint8_t* p = wire[i].data();
+        for (std::uint64_t& a : acc_) {
+          std::uint64_t w = 0;
+          for (int b = 7; b >= 0; --b) w = (w << 8) | p[b];
+          a += w;
+          p += 8;
+        }
+      },
+      audit);
+}
+
+template <typename Words, typename Add>
+const std::vector<double>& SecureSumSession::reduce_average_of(
+    std::size_t round, std::span<const std::size_t> mask_set,
+    std::span<const std::size_t> present, Words words, Add add,
     ReduceAudit* audit) {
   PPML_CHECK(!present.empty(), "SecureSumSession::reduce_average: no "
                                "contributions present");
   // Unmasking and dropout recovery are reducer work by definition.
   obs::PartyScope scope(obs::kReducerParty);
   epoch_active_ = true;
-  std::vector<std::uint64_t> acc;
+  std::vector<std::uint64_t>& acc = acc_;
+  acc.clear();
   for (std::size_t i : present) {
-    PPML_CHECK(i < contributions.size() && !contributions[i].empty(),
-               "SecureSumSession::reduce_average: present party has no "
-               "contribution");
-    const auto& v = contributions[i];
-    if (acc.empty()) acc.assign(v.size(), 0);
-    PPML_CHECK(acc.size() == v.size(),
+    const std::size_t n = words(i);
+    PPML_CHECK(n != 0, "SecureSumSession::reduce_average: present party has "
+                       "no contribution");
+    if (acc.empty()) acc.assign(n, 0);
+    PPML_CHECK(acc.size() == n,
                "SecureSumSession::reduce_average: contribution dims differ");
-    ring_add_inplace(acc, v);
+    add(i);
   }
 
   std::vector<std::size_t> dropped;
@@ -270,7 +306,9 @@ std::vector<double> SecureSumSession::reduce_average(
     }
   }
 
-  const std::vector<double> sum = codec_.decode_vector(acc);
+  std::vector<double>& sum = sum_;
+  sum.resize(acc.size());
+  codec_.decode_into(acc, sum);
   // The decoded round sum is the protocol's deliberate output disclosure —
   // the one thing the reducer is SUPPOSED to learn. Account it.
   if (obs::PrivacyLedger* ledger = obs::privacy_ledger())
@@ -281,10 +319,10 @@ std::vector<double> SecureSumSession::reduce_average(
     audit->dropped = std::move(dropped);
     audit->decoded_sum = sum;
   }
-  std::vector<double> average(sum.size());
+  average_.resize(sum.size());
   for (std::size_t j = 0; j < sum.size(); ++j)
-    average[j] = sum[j] / static_cast<double>(present.size());
-  return average;
+    average_[j] = sum[j] / static_cast<double>(present.size());
+  return average_;
 }
 
 std::vector<double> SecureSumSession::sum_once(

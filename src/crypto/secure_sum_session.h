@@ -174,11 +174,25 @@ class SecureSumSession {
   /// parties' entries empty/ignored). When `present` is a strict subset of
   /// `mask_set`, the missing parties' uncancelled masks are stripped via
   /// the armed recovery session (throws if recovery is not armed or fewer
-  /// than `threshold` parties are present).
-  std::vector<double> reduce_average(
+  /// than `threshold` parties are present). The ring sum, the decoded sum
+  /// and the average are computed in buffers the session keeps, so a
+  /// reducer that runs a round after round allocates none; the returned
+  /// average is overwritten by the next call.
+  const std::vector<double>& reduce_average(
       std::size_t round, std::span<const std::size_t> mask_set,
       std::span<const std::size_t> present,
       const std::vector<std::vector<std::uint64_t>>& contributions,
+      ReduceAudit* audit = nullptr);
+
+  /// Each party's masked words as wire bytes: 8 little-endian bytes per
+  /// word, indexed by party id (absent parties' entries empty).
+  using WireContributions = std::span<const std::span<const std::uint8_t>>;
+  /// Same average, summing each present party's words straight from its
+  /// wire bytes (a view into its received frame) instead of from a decoded
+  /// copy.
+  const std::vector<double>& reduce_average(
+      std::size_t round, std::span<const std::size_t> mask_set,
+      std::span<const std::size_t> present, WireContributions wire,
       ReduceAudit* audit = nullptr);
 
   // --- whole-protocol helpers (every party in-process) --------------------
@@ -198,6 +212,13 @@ class SecureSumSession {
   /// Exchanged variant: derive (and cache) every party's outgoing masks for
   /// `round` at width `dim`.
   void exchange_round(std::size_t round, std::size_t dim);
+  /// reduce_average's body over either contribution form: `words(i)` is
+  /// party i's word count (0 = none), `add(i)` adds its words into acc_.
+  template <typename Words, typename Add>
+  const std::vector<double>& reduce_average_of(
+      std::size_t round, std::span<const std::size_t> mask_set,
+      std::span<const std::size_t> present, Words words, Add add,
+      ReduceAudit* audit);
   std::vector<double> average_once_impl(std::span<const Tensor> per_party_values,
                                         std::size_t round, ReduceAudit* audit);
 
@@ -217,6 +238,10 @@ class SecureSumSession {
   std::vector<std::vector<std::vector<std::uint64_t>>> sent_;
 
   std::vector<double> batch_scratch_;  ///< tensor concatenation buffer
+  // reduce_average's round buffers: ring sum, decoded sum, average.
+  std::vector<std::uint64_t> acc_;
+  std::vector<double> sum_;
+  std::vector<double> average_;
 };
 
 }  // namespace ppml::crypto

@@ -122,6 +122,22 @@ void sqdist_rows_avx2(const double* x, const double* b, std::size_t ldb,
   }
 }
 
+// The last n mod 4 columns: one p loop feeds all T of them, so their T
+// independent chains overlap instead of running one after the other. Each
+// y[t] still takes a[p] * x_p[t] by one multiply and one add (this file is
+// built without -mfma) in ascending p, as the scalar loop does.
+template <std::size_t T>
+void rank_update_tail(const double* a, const double* x, std::size_t ldx,
+                      std::size_t kk, double* y) {
+  double acc[T];
+  for (std::size_t t = 0; t < T; ++t) acc[t] = y[t];
+  for (std::size_t p = 0; p < kk; ++p, x += ldx) {
+    const double ap = a[p];
+    for (std::size_t t = 0; t < T; ++t) acc[t] += ap * x[t];
+  }
+  for (std::size_t t = 0; t < T; ++t) y[t] = acc[t];
+}
+
 // Register tile of 16 columns: four accumulators hold y[j..j+16) across all
 // kk rows of x, so y is loaded and stored once per tile rather than once per
 // row. Lane j is fed a[p]*x_p[j] by vmulpd + vaddpd in ascending p — the
@@ -155,10 +171,11 @@ void rank_update_avx2(const double* a, const double* x, std::size_t ldx,
           acc, _mm256_mul_pd(_mm256_set1_pd(a[p]), _mm256_loadu_pd(xp)));
     _mm256_storeu_pd(y + j, acc);
   }
-  for (; j < n; ++j) {
-    double acc = y[j];
-    for (std::size_t p = 0; p < kk; ++p) acc += a[p] * x[p * ldx + j];
-    y[j] = acc;
+  switch (n - j) {
+    case 3: rank_update_tail<3>(a, x + j, ldx, kk, y + j); break;
+    case 2: rank_update_tail<2>(a, x + j, ldx, kk, y + j); break;
+    case 1: rank_update_tail<1>(a, x + j, ldx, kk, y + j); break;
+    default: break;
   }
 }
 

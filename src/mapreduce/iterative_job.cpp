@@ -64,6 +64,18 @@ void flow_point(char phase, std::uint64_t id, const char* name) {
   if (obs::Tracer* tracer = obs::tracer()) tracer->flow(phase, id, name);
 }
 
+/// Rebuilds `frame` in place as a driver frame carrying a copy of
+/// `payload` (serde.h begin_frame/seal_frame).
+void write_frame(Bytes& frame, std::span<const std::uint64_t> header,
+                 BytesView payload) {
+  Writer writer(std::move(frame));
+  begin_frame(writer, header);
+  std::copy(payload.begin(), payload.end(),
+            writer.extend(payload.size()).begin());
+  frame = writer.take();
+  seal_frame(frame, header.size());
+}
+
 }  // namespace
 
 IterativeJob::IterativeJob(Cluster& cluster, JobConfig config)
@@ -181,11 +193,32 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
   // Per-job fault accounting: the fabric's totals are cluster-lifetime.
   const FaultStats faults_before = network.fault_stats();
 
+  // Frame buffers circulate through the fabric: every frame the driver
+  // sends is built in a spare buffer, and every frame it drains goes back
+  // to the spares once read, so a steady round builds its frames without
+  // allocating. A frame whose payload a party still reads (peer messages
+  // until map, contributions until reduce) is held until then. Frames the
+  // fabric drops are gone; the spares keep at most twice the largest
+  // phase's sends, so duplicates cannot grow them without bound.
+  std::vector<Bytes> spare_frames;
+  std::size_t spare_limit = 0;
+  std::vector<Bytes> held_frames;
+  std::vector<Message> inbox;
+  const auto release = [&](Bytes&& frame) {
+    if (spare_frames.size() < spare_limit)
+      spare_frames.push_back(std::move(frame));
+  };
+  const auto release_held = [&] {
+    for (Bytes& frame : held_frames) release(std::move(frame));
+    held_frames.clear();
+  };
+
   // Verified delivery of one phase's CRC-framed messages (`frame` builds
-  // one pending key's frame with crc_frame): send everything
+  // one pending key's frame in the buffer it is given): send everything
   // still pending, close the phase, drain the destinations, and let `accept`
-  // decide (from the decoded envelope) which pending entries arrived intact.
-  // Re-send survivors of drop/corruption up to kMaxMessageRetries times.
+  // decide (from the decoded envelope) which pending entries arrived intact
+  // and whether the frame must be held for its payload. Re-send survivors
+  // of drop/corruption up to kMaxMessageRetries times.
   struct Pending {
     std::size_t key;  ///< caller-defined identity (mapper index, outbox slot)
     NodeId from = 0;
@@ -198,13 +231,15 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
     std::uint64_t flow = 0;
   };
   const auto deliver = [&](const char* channel, std::vector<Pending> pending,
-                           const std::function<Bytes(std::size_t)>& frame,
-                           const std::function<void(Reader&,
+                           const std::function<void(std::size_t, Bytes&)>&
+                               frame,
+                           const std::function<bool(BytesView,
                                                     std::vector<bool>&)>&
                                accept) -> std::vector<std::size_t> {
     std::size_t max_key = 0;
     for (const Pending& p : pending) max_key = std::max(max_key, p.key);
     std::vector<bool> done(max_key + 1, false);
+    spare_limit = std::max(spare_limit, 2 * pending.size());
     for (std::size_t attempt = 0; attempt <= kMaxMessageRetries;
          ++attempt) {
       if (pending.empty()) break;
@@ -216,7 +251,13 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
         // Perfetto as extra arrow hops through the phase slice.
         obs::PartyScope sender_scope(p.sender_party);
         flow_point('t', p.flow, channel);
-        network.send(Message{p.from, p.to, channel, frame(p.key), p.flow});
+        Bytes wire;
+        if (!spare_frames.empty()) {
+          wire = std::move(spare_frames.back());
+          spare_frames.pop_back();
+        }
+        frame(p.key, wire);
+        network.send(Message{p.from, p.to, channel, std::move(wire), p.flow});
       }
       network.end_phase();
       std::vector<bool> drained(cluster_.num_nodes(), false);
@@ -227,8 +268,12 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
         // first pending entry for the node claims everything drained there
         // (co-located mappers share a NIC, so this matches the fabric).
         obs::PartyScope receiver_scope(p.receiver_party);
-        for (Message& message : network.drain(p.to)) {
-          if (message.channel != channel) continue;
+        network.drain(p.to, inbox);
+        for (Message& message : inbox) {
+          if (message.channel != channel) {
+            release(std::move(message.payload));
+            continue;
+          }
           if (obs::metrics() != nullptr) {
             obs::count("net.messages.in");
             obs::count("net.bytes.in",
@@ -236,11 +281,13 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
           }
           if (!crc_check(message.payload)) {
             ++stats.frames_rejected;
+            release(std::move(message.payload));
             continue;
           }
-          Reader reader(message.payload);
-          reader.get_u32();  // skip the CRC
-          accept(reader, done);
+          if (accept(message.payload, done))
+            held_frames.push_back(std::move(message.payload));
+          else
+            release(std::move(message.payload));
         }
       }
       std::vector<Pending> still;
@@ -255,6 +302,15 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
 
   obs::Span job_span("job", "mapreduce");
   Bytes broadcast = std::move(initial_broadcast);
+  // Kept across rounds and refilled in place: each mapper's contribution
+  // frame (the master copy retries resend), the views of this round's peer
+  // messages and of the contributions that arrived. The peer inboxes are
+  // built on the first round that has a peer message; until then every
+  // mapper reads one row of empty views.
+  std::vector<Bytes> contribution_frames(m);
+  std::vector<std::vector<BytesView>> inboxes;
+  const std::vector<BytesView> no_peer_messages(m);
+  std::vector<BytesView> contributions(m);
   for (std::size_t round = 0; round < config_.max_rounds; ++round) {
     obs::Span iteration_span("iteration", "mapreduce");
     iteration_span.arg("round", static_cast<double>(round));
@@ -333,19 +389,17 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
                          obs::kReducerParty, static_cast<int>(i),
                          broadcast_flow[i]});
       }
-      const auto frame = [&](std::size_t i) {
-        return crc_frame(16 + wire_size_bytes(broadcast.size()),
-                         [&](Writer& writer) {
-                           writer.put_u64(i);
-                           writer.put_u64(round);
-                           writer.put_bytes(broadcast);
-                         });
+      const auto frame = [&](std::size_t i, Bytes& wire) {
+        const std::uint64_t header[] = {i, round};
+        write_frame(wire, header, broadcast);
       };
-      const auto accept = [&](Reader& reader, std::vector<bool>& done) {
-        const std::size_t dest = reader.get_u64();
-        const std::size_t msg_round = reader.get_u64();
-        if (dest >= m || msg_round != round) return;  // stale or misrouted
+      const auto accept = [&](BytesView wire, std::vector<bool>& done) {
+        std::uint64_t header[2];  // dest, round
+        open_frame(wire, header);
+        const std::uint64_t dest = header[0];
+        if (dest >= m || header[1] != round) return false;  // stale, misrouted
         if (dest < done.size()) done[dest] = true;
+        return false;  // mappers read the driver's own broadcast buffer
       };
       for (std::size_t i : deliver("broadcast", std::move(sends), frame,
                                    accept)) {
@@ -380,7 +434,8 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
       std::size_t dest = 0;
       Bytes payload;
     };
-    std::vector<std::vector<Bytes>> inboxes(m, std::vector<Bytes>(m));
+    for (std::vector<BytesView>& row : inboxes)
+      std::fill(row.begin(), row.end(), BytesView{});
     {
     PhaseSpan shuffle_span("shuffle", network);
     std::vector<PeerMessage> outbox;
@@ -395,6 +450,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
       }
     }
     if (!outbox.empty()) {
+      if (inboxes.empty()) inboxes.assign(m, no_peer_messages);
       std::vector<Pending> sends;
       for (std::size_t k = 0; k < outbox.size(); ++k) {
         sends.push_back({k, mapper_nodes_[outbox[k].sender],
@@ -402,24 +458,22 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
                          static_cast<int>(outbox[k].sender),
                          static_cast<int>(outbox[k].dest), 0});
       }
-      const auto frame = [&](std::size_t k) {
-        return crc_frame(24 + wire_size_bytes(outbox[k].payload.size()),
-                         [&](Writer& writer) {
-                           writer.put_u64(outbox[k].sender);
-                           writer.put_u64(outbox[k].dest);
-                           writer.put_u64(round);
-                           writer.put_bytes(outbox[k].payload);
-                         });
+      const auto frame = [&](std::size_t k, Bytes& wire) {
+        const std::uint64_t header[] = {outbox[k].sender, outbox[k].dest,
+                                        round};
+        write_frame(wire, header, outbox[k].payload);
       };
-      const auto accept = [&](Reader& reader, std::vector<bool>& done) {
-        const std::size_t sender = reader.get_u64();
-        const std::size_t dest = reader.get_u64();
-        const std::size_t msg_round = reader.get_u64();
-        if (sender >= m || dest >= m || msg_round != round) return;
-        inboxes[dest][sender] = reader.get_bytes();
+      const auto accept = [&](BytesView wire, std::vector<bool>& done) {
+        std::uint64_t header[3];  // sender, dest, round
+        const BytesView payload = open_frame(wire, header);
+        const std::uint64_t sender = header[0];
+        const std::uint64_t dest = header[1];
+        if (sender >= m || dest >= m || header[2] != round) return false;
+        inboxes[dest][sender] = payload;
         for (std::size_t k = 0; k < outbox.size(); ++k)
           if (outbox[k].sender == sender && outbox[k].dest == dest)
             done[k] = true;
+        return true;  // held until map has read it
       };
       if (!deliver("peer-exchange", std::move(sends), frame, accept).empty())
         throw JobError("peer-exchange undeliverable after retries — "
@@ -506,7 +560,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
     //    backup launches at the deadline (factor x median attempt time) on
     //    the faster replica, and the clock takes the earlier finisher —
     //    mapper state is never re-run, so trainer semantics are unchanged.
-    std::vector<Bytes> contributions(m);
+    std::fill(contributions.begin(), contributions.end(), BytesView{});
     std::vector<double> wall_seconds(m, 0.0);
     std::exception_ptr map_error;
     std::mutex error_mutex;
@@ -527,8 +581,16 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
         if (obs::Tracer* tracer = obs::tracer())
           contribution_flow[i] = tracer->new_flow_id();
         const auto start = std::chrono::steady_clock::now();
-        contributions[i] =
-            mappers_[i].mapper->map(round, broadcast, inboxes[i]);
+        // The mapper writes its payload straight into its frame.
+        Writer writer(std::move(contribution_frames[i]));
+        const std::uint64_t header[] = {i, round};
+        begin_frame(writer, header);
+        mappers_[i].mapper->map(round, broadcast,
+                                inboxes.empty() ? no_peer_messages
+                                                : inboxes[i],
+                                writer);
+        contribution_frames[i] = writer.take();
+        seal_frame(contribution_frames[i], 2);
         wall_seconds[i] =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
@@ -540,6 +602,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
       }
     });
     if (map_error) std::rethrow_exception(map_error);
+    release_held();  // peer messages are read
     {
       std::vector<double> task_seconds;
       for (std::size_t i : active)
@@ -588,7 +651,6 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
                          " lost to node crash at round " +
                          std::to_string(round));
         }
-        contributions[i].clear();
         postmap_lost.push_back(i);
         mark_lost(i, stats);
       }
@@ -600,7 +662,6 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
     // rejoin next round under a fresh epoch (its block is still live).
     for (std::size_t i : active) {
       if (!deadline_late[i] || !live_[i]) continue;
-      contributions[i].clear();
       postmap_lost.push_back(i);
       mark_lost(i, stats);
       if (obs::metrics() != nullptr)
@@ -623,20 +684,18 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
           sends.push_back({i, mapper_nodes_[i], reducer_node_,
                            static_cast<int>(i), obs::kReducerParty,
                            contribution_flow[i]});
-      const auto frame = [&](std::size_t i) {
-        return crc_frame(16 + wire_size_bytes(contributions[i].size()),
-                         [&](Writer& writer) {
-                           writer.put_u64(i);
-                           writer.put_u64(round);
-                           writer.put_bytes(contributions[i]);
-                         });
+      const auto frame = [&](std::size_t i, Bytes& wire) {
+        wire.assign(contribution_frames[i].begin(),
+                    contribution_frames[i].end());
       };
-      const auto accept = [&](Reader& reader, std::vector<bool>& done) {
-        const std::size_t mapper = reader.get_u64();
-        const std::size_t msg_round = reader.get_u64();
-        if (mapper >= m || msg_round != round) return;
-        contributions[mapper] = reader.get_bytes();
+      const auto accept = [&](BytesView wire, std::vector<bool>& done) {
+        std::uint64_t header[2];  // mapper, round
+        const BytesView payload = open_frame(wire, header);
+        const std::uint64_t mapper = header[0];
+        if (mapper >= m || header[1] != round) return false;
+        contributions[mapper] = payload;
         if (mapper < done.size()) done[mapper] = true;
+        return true;  // held until reduce has read it
       };
       for (std::size_t i : deliver("contribution", std::move(sends), frame,
                                    accept)) {
@@ -644,7 +703,7 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
           throw JobError("mapper " + std::to_string(i) +
                          ": contribution undeliverable after retries");
         }
-        contributions[i].clear();
+        contributions[i] = {};
         postmap_lost.push_back(i);
         mark_lost(i, stats);
       }
@@ -671,8 +730,11 @@ JobStats IterativeJob::run(Bytes initial_broadcast) {
         if (!contributions[i].empty())
           flow_point('f', contribution_flow[i], "contribution");
       obs::PartyScope reducer_scope(obs::kReducerParty);
-      broadcast = reducer_->reduce(round, contributions);
+      Writer writer(std::move(broadcast));
+      reducer_->reduce(round, contributions, writer);
+      broadcast = writer.take();
     }
+    release_held();  // contributions are read
     if (!postmap_lost.empty()) notify_membership();
     if (reducer_->converged()) {
       stats.converged = true;

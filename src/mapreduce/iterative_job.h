@@ -55,11 +55,16 @@ class IterativeMapper {
     return {};
   }
 
-  /// One local-training iteration. `peer_messages[j]` holds the payload
-  /// sent by mapper j this round (empty if none). Returns the contribution
-  /// for the reducer.
-  virtual Bytes map(std::size_t round, const Bytes& broadcast,
-                    const std::vector<Bytes>& peer_messages) = 0;
+  /// One local-training iteration. `broadcast` is the reducer's payload
+  /// and `peer_messages[j]` the payload mapper j sent this round (empty if
+  /// none); both are views, valid for the duration of the call. The
+  /// contribution for the reducer is appended to `contribution`: a Writer
+  /// over the driver's contribution frame, positioned after the frame
+  /// header, so the payload is written in place (append nothing for an
+  /// empty payload).
+  virtual void map(std::size_t round, BytesView broadcast,
+                   std::span<const BytesView> peer_messages,
+                   Writer& contribution) = 0;
 
   /// Membership notification: `live` is the sorted set of mapper indices
   /// still in the job (it always includes this mapper). `epoch` increments
@@ -78,10 +83,14 @@ class IterativeReducer {
  public:
   virtual ~IterativeReducer() = default;
 
-  /// Combine this round's contributions (indexed by mapper) into the next
-  /// broadcast payload. A permanently dropped mapper's entry is empty.
-  virtual Bytes reduce(std::size_t round,
-                       const std::vector<Bytes>& contributions) = 0;
+  /// Combine this round's contributions (indexed by mapper; views into
+  /// the received frames, valid for the duration of the call) into the
+  /// next broadcast payload, written to `broadcast` (a Writer over the
+  /// driver's broadcast buffer, emptied). A permanently dropped mapper's
+  /// entry is empty.
+  virtual void reduce(std::size_t round,
+                      std::span<const BytesView> contributions,
+                      Writer& broadcast) = 0;
 
   /// Checked after each reduce; true ends the job.
   virtual bool converged() const { return false; }

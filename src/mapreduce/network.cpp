@@ -183,11 +183,16 @@ void Network::send(Message message) {
 }
 
 std::vector<Message> Network::drain(NodeId node) {
-  PPML_CHECK(node < num_nodes_, "Network::drain: node id out of range");
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Message> out;
-  out.swap(mailboxes_[node]);
+  drain(node, out);
   return out;
+}
+
+void Network::drain(NodeId node, std::vector<Message>& out) {
+  PPML_CHECK(node < num_nodes_, "Network::drain: node id out of range");
+  out.clear();
+  std::lock_guard<std::mutex> lock(mutex_);
+  out.swap(mailboxes_[node]);
 }
 
 std::map<std::string, ChannelStats> Network::channel_stats() const {

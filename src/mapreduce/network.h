@@ -148,6 +148,10 @@ class Network {
 
   /// Drain all messages addressed to `node` (FIFO order).
   std::vector<Message> drain(NodeId node);
+  /// Same, into `out` (whatever it held is dropped). The mailbox keeps
+  /// out's storage in exchange, so a caller that drains into one vector
+  /// every phase reuses both.
+  void drain(NodeId node, std::vector<Message>& out);
 
   /// Total messages/bytes per channel since construction or last reset.
   std::map<std::string, ChannelStats> channel_stats() const;

@@ -87,21 +87,6 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t crc) {
   return c ^ 0xFFFFFFFFu;
 }
 
-Bytes crc_frame(std::size_t body_size,
-                const std::function<void(Writer&)>& write_body) {
-  Writer writer;
-  writer.reserve(4 + body_size);
-  writer.put_u32(0);  // CRC slot, filled once the body is in place
-  write_body(writer);
-  Bytes frame = writer.take();
-  PPML_CHECK(frame.size() == 4 + body_size,
-             "crc_frame: body is " + std::to_string(frame.size() - 4) +
-                 " bytes, declared " + std::to_string(body_size));
-  store_le32(crc32(std::span<const std::uint8_t>(frame).subspan(4)),
-             frame.data());
-  return frame;
-}
-
 bool crc_check(std::span<const std::uint8_t> framed) {
   if (framed.size() < 4) return false;
   std::uint32_t stored = 0;
@@ -110,9 +95,35 @@ bool crc_check(std::span<const std::uint8_t> framed) {
   return crc32(framed.subspan(4)) == stored;
 }
 
+void begin_frame(Writer& writer, std::span<const std::uint64_t> header) {
+  writer.put_u32(0);  // CRC slot
+  for (const std::uint64_t word : header) writer.put_u64(word);
+  writer.put_u64(0);  // payload length slot
+}
+
+void seal_frame(Bytes& frame, std::size_t header_words) {
+  const std::size_t payload_at = 4 + 8 * header_words + 8;
+  PPML_CHECK(frame.size() >= payload_at, "seal_frame: frame not begun");
+  const std::uint64_t n = frame.size() - payload_at;
+  for (int i = 0; i < 8; ++i)
+    frame[payload_at - 8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(n >> (8 * i));
+  store_le32(crc32(std::span<const std::uint8_t>(frame).subspan(4)),
+             frame.data());
+}
+
+BytesView open_frame(BytesView frame, std::span<std::uint64_t> header) {
+  Reader reader(frame);
+  reader.get_u32();  // the CRC, checked by the caller
+  for (std::uint64_t& word : header) word = reader.get_u64();
+  const BytesView payload = reader.get_bytes_view();
+  reader.expect_exhausted("frame");
+  return payload;
+}
+
 void Writer::put_u32(std::uint32_t v) {
-  // Grow, then store in place: a range insert of a stack array into the
-  // still-empty buffer of crc_frame made GCC 12 report a bogus
+  // Grow, then store in place: a range insert of a stack array into a
+  // still-empty frame buffer made GCC 12 report a bogus
   // -Wstringop-overflow / -Wrestrict after inlining. Same bytes.
   const std::size_t at = buffer_.size();
   buffer_.resize(at + 4);
@@ -163,6 +174,12 @@ void Writer::put_matrix(const linalg::Matrix& m) {
   put_u64(m.rows());
   put_u64(m.cols());
   put_words(std::span<const double>(m.data()));
+}
+
+std::span<std::uint8_t> Writer::extend(std::size_t n) {
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + n);
+  return std::span<std::uint8_t>(buffer_).subspan(at);
 }
 
 void Reader::require(std::size_t n) {
@@ -225,6 +242,21 @@ Bytes Reader::get_bytes() {
   return b;
 }
 
+BytesView Reader::get_bytes_view() {
+  const std::uint64_t n = get_u64();
+  require(n);
+  const BytesView view = data_.subspan(cursor_, n);
+  cursor_ += n;
+  return view;
+}
+
+void Reader::expect_exhausted(const char* what) const {
+  if (!exhausted()) {
+    throw Error(std::string("serde: ") + what + ": " +
+                std::to_string(remaining()) + " trailing bytes");
+  }
+}
+
 template <typename Word>
 void Reader::get_words(std::span<Word> out) {
   static_assert(sizeof(Word) == 8);
@@ -239,19 +271,37 @@ void Reader::get_words(std::span<Word> out) {
 }
 
 std::vector<std::uint64_t> Reader::get_u64_vector() {
-  const std::uint64_t n = get_u64();
-  require_words(n);
-  std::vector<std::uint64_t> v(n);
-  get_words(std::span<std::uint64_t>(v));
+  std::vector<std::uint64_t> v;
+  get_u64_vector(v);
   return v;
 }
 
 std::vector<double> Reader::get_double_vector() {
+  std::vector<double> v;
+  get_double_vector(v);
+  return v;
+}
+
+BytesView Reader::get_u64_vector_bytes() {
   const std::uint64_t n = get_u64();
   require_words(n);
-  std::vector<double> v(n);
-  get_words(std::span<double>(v));
-  return v;
+  const BytesView view = data_.subspan(cursor_, 8 * n);
+  cursor_ += 8 * n;
+  return view;
+}
+
+void Reader::get_u64_vector(std::vector<std::uint64_t>& out) {
+  const std::uint64_t n = get_u64();
+  require_words(n);
+  out.resize(n);
+  get_words(std::span<std::uint64_t>(out));
+}
+
+void Reader::get_double_vector(std::vector<double>& out) {
+  const std::uint64_t n = get_u64();
+  require_words(n);
+  out.resize(n);
+  get_words(std::span<double>(out));
 }
 
 linalg::Matrix Reader::get_matrix() {

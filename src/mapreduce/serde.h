@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -51,6 +50,14 @@ constexpr std::size_t wire_size_words(std::size_t n) { return 8 + 8 * n; }
 /// slack for as long as the blockstore or the fabric holds it.
 class Writer {
  public:
+  Writer() = default;
+  /// Writes over `storage`: its bytes are dropped and its capacity kept, so
+  /// a buffer recycled round after round (a fabric frame, a broadcast) is
+  /// refilled without allocating. take() hands it back.
+  explicit Writer(Bytes storage) : buffer_(std::move(storage)) {
+    buffer_.clear();
+  }
+
   void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
   void put_u8(std::uint8_t v) { buffer_.push_back(v); }
   void put_u32(std::uint32_t v);
@@ -62,6 +69,9 @@ class Writer {
   void put_u64_vector(std::span<const std::uint64_t> v);
   void put_double_vector(std::span<const double> v);
   void put_matrix(const linalg::Matrix& m);
+  /// Appends `n` bytes for the caller to fill in place (a masked vector
+  /// written straight into its frame) and returns them.
+  std::span<std::uint8_t> extend(std::size_t n);
 
   Bytes take() { return std::move(buffer_); }
   const Bytes& buffer() const { return buffer_; }
@@ -74,19 +84,29 @@ class Writer {
   Bytes buffer_;
 };
 
-/// Payload framing for everything the job driver puts on the fabric:
-/// [u32 crc32(body) little-endian][body...]. Built in one buffer: a 4-byte
-/// CRC slot, then `write_body` appends the body, which must be exactly
-/// `body_size` bytes (the buffer is reserved once at that size), then the
-/// CRC of the body goes into the slot. A flipped bit anywhere in the frame
-/// makes crc_check() fail, so corrupted messages are *detected* and
-/// retried instead of being deserialized into garbage.
-Bytes crc_frame(std::size_t body_size,
-                const std::function<void(Writer&)>& write_body);
-
 /// True iff `framed` is at least 4 bytes and the stored CRC matches the
 /// body. Read the body by skipping the leading u32 (Reader::get_u32).
 bool crc_check(std::span<const std::uint8_t> framed);
+
+/// Framing for everything the job driver puts on the fabric:
+/// [u32 crc32(body) little-endian][body...], the body being header words
+/// and one length-prefixed payload,
+///   [u32 crc32(body)][u64 header words...][u64 n][n payload bytes].
+/// A flipped bit anywhere in the frame makes crc_check() fail, so
+/// corrupted messages are *detected* and retried instead of being
+/// deserialized into garbage.
+/// begin_frame() writes the CRC slot, `header` and the length slot; the
+/// payload is appended after it, in place; seal_frame() then stores the
+/// payload length and the CRC. A frame buffer recycled through a Writer is
+/// rebuilt round after round without allocating.
+void begin_frame(Writer& writer, std::span<const std::uint64_t> header);
+void seal_frame(Bytes& frame, std::size_t header_words);
+
+/// Reads a frame that passed crc_check(): fills `header` (its size is the
+/// frame's header word count) and returns a view of the payload inside
+/// `frame`. Throws ppml::Error when the frame is short, its length field
+/// overruns it, or any byte follows the payload.
+BytesView open_frame(BytesView frame, std::span<std::uint64_t> header);
 
 /// Bounds-checked little-endian reader; throws ppml::Error on truncated
 /// input. On little-endian hosts the vector and matrix readers copy the
@@ -102,12 +122,25 @@ class Reader {
   double get_double();
   std::string get_string();
   Bytes get_bytes();
+  /// A length-prefixed byte run as a view into the input (no copy).
+  BytesView get_bytes_view();
   std::vector<std::uint64_t> get_u64_vector();
   std::vector<double> get_double_vector();
+  /// A length-prefixed u64 vector left in place: the view of its 8-byte
+  /// little-endian words in the input, after the same length check.
+  BytesView get_u64_vector_bytes();
+  /// Same, into `out` (resized; a buffer kept across calls keeps its
+  /// capacity).
+  void get_u64_vector(std::vector<std::uint64_t>& out);
+  void get_double_vector(std::vector<double>& out);
   linalg::Matrix get_matrix();
 
   bool exhausted() const noexcept { return cursor_ == data_.size(); }
   std::size_t remaining() const noexcept { return data_.size() - cursor_; }
+  /// Throws ppml::Error naming `what` unless every byte has been read: a
+  /// decoder calls it last, so a payload with a suffix is rejected rather
+  /// than half read.
+  void expect_exhausted(const char* what) const;
 
  private:
   void require(std::size_t n);

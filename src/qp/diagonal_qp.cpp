@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -47,15 +46,15 @@ constexpr double kMinCertifiedScale = 0x1p-960;
 /// at most n + 16 for every n.
 class FastTerms {
  public:
-  explicit FastTerms(const DiagonalQpProblem& problem)
+  /// `storage` holds at least 6n doubles (DiagonalQpWorkspace::terms).
+  FastTerms(const DiagonalQpProblem& problem, double* storage)
       : n_(problem.d.size()),
         active_(n_),
         p_(problem.p.data()),
         y_(problem.y.data()),
         d_(problem.d.data()),
         c_(problem.c),
-        storage_(std::make_unique_for_overwrite<double[]>(6 * n_)),
-        lo_(storage_.get()),
+        lo_(storage),
         hi_(lo_ + n_),
         mid_(hi_ + n_),
         packed_(mid_ + n_) {}
@@ -105,8 +104,7 @@ class FastTerms {
   const double* y_;
   const double* d_;
   double c_;
-  std::unique_ptr<double[]> storage_;  ///< lo, hi, mid, then packed p, y, d
-  double* lo_;
+  double* lo_;  ///< storage: lo, hi, mid, then packed p, y, d
   double* hi_;
   double* mid_;
   double* packed_;
@@ -119,6 +117,14 @@ class FastTerms {
 }  // namespace
 
 Result solve_diagonal_qp(const DiagonalQpProblem& problem, double tolerance) {
+  DiagonalQpWorkspace workspace;
+  solve_diagonal_qp(problem, workspace, tolerance);
+  return std::move(workspace.result);
+}
+
+const Result& solve_diagonal_qp(const DiagonalQpProblem& problem,
+                                DiagonalQpWorkspace& workspace,
+                                double tolerance) {
   const std::size_t n = problem.d.size();
   PPML_CHECK(problem.p.size() == n && problem.y.size() == n,
              "solve_diagonal_qp: size mismatch");
@@ -171,7 +177,10 @@ Result solve_diagonal_qp(const DiagonalQpProblem& problem, double tolerance) {
   const double n_u = static_cast<double>(n + 16) * 0x1p-53;
   const double gamma = n_u / (1.0 - n_u);
   std::optional<FastTerms> fast;
-  if (linalg::active_isa() >= linalg::Isa::kAvx2) fast.emplace(problem);
+  if (linalg::active_isa() >= linalg::Isa::kAvx2) {
+    if (workspace.terms.size() < 6 * n) workspace.terms.resize(6 * n);
+    fast.emplace(problem, workspace.terms.data());
+  }
 #endif
   const auto decide = [&](double nu, Vector& x) {
 #if defined(PPML_HAVE_AVX2)
@@ -198,14 +207,17 @@ Result solve_diagonal_qp(const DiagonalQpProblem& problem, double tolerance) {
 #endif
   };
 
-  Vector x(n, 0.0);
+  Result& result = workspace.result;
+  result.g.clear();
+  result.iterations = 0;
+  Vector& x = result.x;
+  x.assign(n, 0.0);
   // Bracket nu: h is non-increasing, h(-inf) = +C*n_pos, h(+inf) = -C*n_neg.
   while (decide(lo, x) < problem.delta && std::isfinite(lo)) lo *= 2.0;
   moved(true);
   while (decide(hi, x) > problem.delta && std::isfinite(hi)) hi *= 2.0;
   moved(false);
 
-  Result result;
   for (int iter = 0; iter < 200; ++iter) {
     ++result.iterations;
     const double mid = 0.5 * (lo + hi);
@@ -230,7 +242,6 @@ Result solve_diagonal_qp(const DiagonalQpProblem& problem, double tolerance) {
   result.kkt_violation = std::abs(constraint - problem.delta);
   result.converged = result.kkt_violation <= 1e-6 * (1.0 + std::abs(problem.delta));
   result.objective = objective;
-  result.x = std::move(x);
   obs::count("qp.diagonal.solves");
   obs::count("qp.diagonal.sweeps",
              static_cast<std::int64_t>(result.iterations));

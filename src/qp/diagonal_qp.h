@@ -28,4 +28,18 @@ struct DiagonalQpProblem {
 Result solve_diagonal_qp(const DiagonalQpProblem& problem,
                          double tolerance = 1e-12);
 
+/// What a solve works in: the fast pass's term buffers and the result. A
+/// caller that solves every round (the vertical reducer) keeps one, so
+/// only its first solve at a size allocates.
+struct DiagonalQpWorkspace {
+  std::vector<double> terms;  ///< lo, hi, mid, then packed p, y, d
+  Result result;
+};
+
+/// The same solve, in `workspace`; returns workspace.result (every field
+/// rewritten, x in its kept buffer).
+const Result& solve_diagonal_qp(const DiagonalQpProblem& problem,
+                                DiagonalQpWorkspace& workspace,
+                                double tolerance = 1e-12);
+
 }  // namespace ppml::qp

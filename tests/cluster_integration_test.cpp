@@ -261,6 +261,55 @@ TEST(ClusterIntegration, SchemeMatrixDigestPinned) {
   linalg::clear_forced_isa();
 }
 
+// Every frame the driver puts on the fabric, per channel: message counts
+// and wire bytes of one lv and one lh run (seeded masks), and of one lh run
+// with exchanged masks, which adds the peer-exchange channel. Recorded
+// before the driver recycled its frames; a change to the frame layout or
+// to the delivery loop moves these numbers.
+TEST(ClusterIntegration, ChannelStatsPinned) {
+  using Channels = std::map<std::string, std::pair<std::size_t, std::size_t>>;
+  const auto flatten = [](const auto& stats) {
+    Channels out;
+    for (const auto& [channel, s] : stats)
+      out[channel] = {s.messages, s.bytes};
+    return out;
+  };
+  const auto print = [](const char* what, const Channels& channels) {
+    std::string text = what;
+    for (const auto& [channel, s] : channels)
+      text += " {\"" + channel + "\", {" + std::to_string(s.first) + ", " +
+              std::to_string(s.second) + "}}";
+    return text;
+  };
+  const auto split = cancer_split();
+  AdmmParams params;
+  params.max_iterations = kMatrixRounds;
+
+  mapreduce::Cluster lv_cluster(cluster_config(4));
+  train_linear_vertical_on_cluster(
+      lv_cluster, data::partition_vertically(split.train, 3, 7), params);
+  const Channels lv = flatten(lv_cluster.network().channel_stats());
+  EXPECT_EQ(lv, (Channels{{"broadcast", {45, 97020}},
+                          {"contribution", {45, 103860}}}))
+      << print("lv", lv);
+
+  mapreduce::Cluster lh_cluster(cluster_config(5));
+  const Channels lh = flatten(
+      run_linear_horizontal_on_cluster(split, params, lh_cluster).channels);
+  EXPECT_EQ(lh, (Channels{{"broadcast", {60, 6608}}, {"contribution", {60, 6960}}}))
+      << print("lh", lh);
+
+  AdmmParams exchanged = params;
+  exchanged.mask_variant = crypto::MaskVariant::kExchangedMasks;
+  mapreduce::Cluster ex_cluster(cluster_config(5));
+  const Channels ex = flatten(
+      run_linear_horizontal_on_cluster(split, exchanged, ex_cluster).channels);
+  EXPECT_EQ(ex, (Channels{{"broadcast", {60, 6608}},
+                          {"contribution", {60, 6960}},
+                          {"peer-exchange", {180, 22320}}}))
+      << print("lh exchanged", ex);
+}
+
 TEST(ClusterIntegration, TracingDoesNotPerturbTraining) {
   // The observability session must be purely observational: a traced run
   // and an untraced run produce bit-identical models.

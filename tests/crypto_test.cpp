@@ -278,6 +278,58 @@ TEST(ChaChaFill, GroupedRingContributeDigestPinned) {
   }
 }
 
+TEST(ChaChaFill, PartyMaskDigestPinnedAtEveryWidth) {
+  // SecureSumParty::mask straight from one key agreement, M = 8, rounds
+  // 0-1, every party: widths on both sides of the 128-word keystream chunk
+  // and lv's 20 000. Recorded from whole-vector stream expansion; any
+  // chunking or write-through change that moves a mask bit moves these.
+  constexpr std::size_t kParties = 8;
+  const auto seeds = agree_pairwise_seeds(kParties, 0x5EED26ULL);
+  const FixedPointCodec codec(20, kParties);
+  std::vector<std::size_t> everyone(kParties);
+  for (std::size_t i = 0; i < kParties; ++i) everyone[i] = i;
+  for (const auto& [topology, width, digest] :
+       std::vector<std::tuple<AggregationTopology, std::size_t,
+                              std::uint64_t>>{
+           {AggregationTopology::kPairwise, 1, 0x82C3684D3832B9BEULL},
+           {AggregationTopology::kPairwise, 127, 0xB1A9778699845872ULL},
+           {AggregationTopology::kPairwise, 128, 0xF0AE81D22A48E051ULL},
+           {AggregationTopology::kPairwise, 129, 0x616A21B975500A8EULL},
+           {AggregationTopology::kPairwise, 20000, 0x8691F7C14EA4201CULL},
+           {AggregationTopology::kGroupedRing, 1, 0x06F4E5BFD62FA3C3ULL},
+           {AggregationTopology::kGroupedRing, 127, 0x1E0DC29B3BD215A4ULL},
+           {AggregationTopology::kGroupedRing, 128, 0xE9ABCB2E5BEE2EC5ULL},
+           {AggregationTopology::kGroupedRing, 129, 0x27C6BE3484684AA4ULL},
+           {AggregationTopology::kGroupedRing, 20000, 0xE6DAC6A4BB2E5D32ULL}}) {
+    std::vector<std::vector<double>> values(kParties,
+                                            std::vector<double>(width));
+    Xoshiro256 rng(width);
+    for (auto& row : values)
+      for (double& x : row) x = (rng.next_double() - 0.5) * 8.0;
+    for_each_isa([&] {
+      // The vector mask and the wire mask (little-endian words written in
+      // place) must both give the pinned words.
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      std::uint64_t h_wire = h;
+      std::vector<std::uint8_t> wire(8 * width);
+      for (std::size_t round = 0; round < 2; ++round)
+        for (std::size_t i = 0; i < kParties; ++i) {
+          const SecureSumParty party(i, kParties, codec, seeds[i], topology);
+          h = fnv1a_words(h, party.mask(values[i], round, everyone));
+          party.mask(values[i], round, everyone, wire);
+          for (const std::uint8_t byte : wire) {
+            h_wire ^= byte;
+            h_wire *= 0x100000001b3ULL;
+          }
+        }
+      EXPECT_EQ(h, digest) << std::hex << "0x" << h << " width=" << std::dec
+                           << width << " grouped="
+                           << (topology == AggregationTopology::kGroupedRing);
+      EXPECT_EQ(h_wire, digest) << "wire, width=" << width;
+    });
+  }
+}
+
 TEST(FixedPoint, RoundTripPreservesValues) {
   const FixedPointCodec codec(24, 16);
   for (double v : {0.0, 1.0, -1.0, 3.14159, -123.456, 1e-5, 4096.0}) {

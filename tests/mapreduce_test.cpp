@@ -285,12 +285,15 @@ TEST(Serde, WireBytesUnchanged) {
   contribution_writer.put_u64_vector(words);
   const Bytes contribution = contribution_writer.take();
   ASSERT_EQ(contribution.size(), wire_size_words(words.size()));
-  const Bytes frame =
-      crc_frame(16 + wire_size_bytes(contribution.size()), [&](Writer& w) {
-        w.put_u64(3);
-        w.put_u64(7);
-        w.put_bytes(contribution);
-      });
+  // Built the way the driver builds it: begun, payload written in place,
+  // sealed — in a recycled buffer that held a longer frame before.
+  Writer frame_writer(Bytes(200000, 0xEE));
+  const std::uint64_t header[] = {3, 7};
+  begin_frame(frame_writer, header);
+  std::copy(contribution.begin(), contribution.end(),
+            frame_writer.extend(contribution.size()).begin());
+  Bytes frame = frame_writer.take();
+  seal_frame(frame, 2);
   EXPECT_EQ(frame.size(), 160036u);
   EXPECT_EQ(fnv1a(frame), 0x6c6f24a3bdc53078ULL);
   EXPECT_TRUE(crc_check(frame));
@@ -300,26 +303,38 @@ TEST(Serde, WireBytesUnchanged) {
   EXPECT_EQ(reader.get_u64(), 7u);
   const Bytes payload = reader.get_bytes();
   EXPECT_EQ(Reader(payload).get_u64_vector(), words);
+  std::uint64_t opened[2];
+  const BytesView view = open_frame(frame, opened);
+  EXPECT_EQ(opened[0], 3u);
+  EXPECT_EQ(opened[1], 7u);
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), contribution.begin(),
+                         contribution.end()));
 }
 
 TEST(Crc32, FrameRoundTripAndCorruptionDetected) {
+  // A frame with one header word (42) and the payload "payload" has the
+  // body put_u64(42) + put_string("payload") would write.
   Writer writer;
   writer.put_u64(42);
   writer.put_string("payload");
   const Bytes body = writer.take();
 
-  Bytes framed = crc_frame(body.size(), [&](Writer& w) {
-    w.put_u64(42);
-    w.put_string("payload");
-  });
+  Writer frame_writer;
+  const std::uint64_t header[] = {42};
+  begin_frame(frame_writer, header);
+  const std::string text = "payload";
+  std::copy(text.begin(), text.end(),
+            frame_writer.extend(text.size()).begin());
+  Bytes framed = frame_writer.take();
+  seal_frame(framed, 1);
   ASSERT_EQ(framed.size(), body.size() + 4);
   EXPECT_TRUE(std::equal(body.begin(), body.end(), framed.begin() + 4));
   EXPECT_EQ(Reader(framed).get_u32(), crc32(body));
   EXPECT_TRUE(crc_check(framed));
-  Reader reader(framed);
-  reader.get_u32();  // skip the CRC
-  EXPECT_EQ(reader.get_u64(), 42u);
-  EXPECT_EQ(reader.get_string(), "payload");
+  std::uint64_t opened = 0;
+  const BytesView payload = open_frame(framed, {&opened, 1});
+  EXPECT_EQ(opened, 42u);
+  EXPECT_EQ(std::string(payload.begin(), payload.end()), "payload");
 
   // Any single flipped bit — in the body or the CRC itself — must trip.
   for (const std::size_t position : {0ul, 5ul, framed.size() - 1}) {
@@ -329,8 +344,17 @@ TEST(Crc32, FrameRoundTripAndCorruptionDetected) {
   }
   EXPECT_FALSE(crc_check(Bytes{1, 2}));  // too short to hold a CRC
 
-  // A body that does not match its declared size is a driver bug.
-  EXPECT_THROW(crc_frame(7, [](Writer& w) { w.put_u64(1); }), Error);
+  // Sealing a frame shorter than its header is a driver bug; a length
+  // field that overruns the frame, or bytes after the payload, are
+  // malformed input.
+  Bytes unbegun(7, 0);
+  EXPECT_THROW(seal_frame(unbegun, 1), Error);
+  Bytes short_payload = framed;
+  short_payload.pop_back();
+  EXPECT_THROW(open_frame(short_payload, {&opened, 1}), Error);
+  Bytes suffixed = framed;
+  suffixed.push_back(0);
+  EXPECT_THROW(open_frame(suffixed, {&opened, 1}), Error);
 }
 
 TEST(Network, FaultPlanDropsDeterministically) {
@@ -674,8 +698,8 @@ class ConstantMapper final : public IterativeMapper {
     return out;
   }
 
-  Bytes map(std::size_t, const Bytes& broadcast,
-            const std::vector<Bytes>& peer_messages) override {
+  void map(std::size_t, BytesView broadcast,
+           std::span<const BytesView> peer_messages, Writer& out) override {
     if (map_time_.count() > 0) std::this_thread::sleep_for(map_time_);
     std::uint64_t peer_sum = 0;
     for (std::size_t p = 0; p < peer_messages.size(); ++p) {
@@ -688,9 +712,7 @@ class ConstantMapper final : public IterativeMapper {
       Reader r(broadcast);
       feedback = r.get_u64();
     }
-    Writer w;
-    w.put_u64(value_ + peer_sum + feedback);
-    return w.take();
+    out.put_u64(value_ + peer_sum + feedback);
   }
 
   NodeId configured_node_ = 999;
@@ -706,19 +728,17 @@ class SummingReducer final : public IterativeReducer {
  public:
   explicit SummingReducer(std::size_t stop_after) : stop_after_(stop_after) {}
 
-  Bytes reduce(std::size_t round, const std::vector<Bytes>& contributions)
-      override {
+  void reduce(std::size_t round, std::span<const BytesView> contributions,
+              Writer& out) override {
     std::uint64_t total = 0;
-    for (const Bytes& payload : contributions) {
+    for (const BytesView payload : contributions) {
       if (payload.empty()) continue;  // permanently dropped mapper
       Reader r(payload);
       total += r.get_u64();
     }
     sums.push_back(total);
     done_ = round + 1 >= stop_after_;
-    Writer w;
-    w.put_u64(total);
-    return w.take();
+    out.put_u64(total);
   }
 
   bool converged() const override { return done_; }
@@ -846,10 +866,9 @@ class ShardCrcMapper final : public IterativeMapper {
     shard_crc_ = crc32(storage.read_local(home_block_, node));
   }
 
-  Bytes map(std::size_t, const Bytes&, const std::vector<Bytes>&) override {
-    Writer w;
-    w.put_u64(shard_crc_);
-    return w.take();
+  void map(std::size_t, BytesView, std::span<const BytesView>,
+           Writer& out) override {
+    out.put_u64(shard_crc_);
   }
 
  private:

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include <cstdlib>
 #include <random>
 #include <vector>
@@ -185,6 +187,36 @@ TEST_P(MicrokernelIdentity, RankUpdateMatchesPerElementOracleOnEveryIsa) {
                                          y.data(), n);
       for (std::size_t j = 0; j < n; ++j)
         EXPECT_EQ(y[j], oracle[j]) << linalg::isa_name(isa) << " column " << j;
+    }
+  }
+}
+
+TEST_P(MicrokernelIdentity, NarrowRankUpdateMatchesScalarBitwise) {
+  // n = 1..9 columns over 1000 rows: every width the 4-column lanes leave a
+  // 1-, 2- or 3-column tail for (and n < 4, where the tail is everything)
+  // must give the scalar table's bits at every level.
+  constexpr std::size_t kRows = 1000;
+  for (std::size_t n = 1; n <= 9; ++n) {
+    const std::size_t ldx = n + 1;
+    const Vector a = random_vector(kRows, GetParam() ^ 0x5151ULL);
+    const Vector x = random_vector(kRows * ldx, GetParam() ^ 0x6262ULL);
+    const Vector y0 = random_vector(n, GetParam() ^ 0x7373ULL);
+    Vector scalar = y0;
+    {
+      ScopedIsa pin(Isa::kScalar);
+      linalg::microkernels().rank_update(a.data(), x.data(), ldx, kRows,
+                                         scalar.data(), n);
+    }
+    for (Isa isa : kAllIsas) {
+      ScopedIsa pin(isa);
+      if (!pin.available()) continue;
+      Vector y = y0;
+      linalg::microkernels().rank_update(a.data(), x.data(), ldx, kRows,
+                                         y.data(), n);
+      for (std::size_t j = 0; j < n; ++j)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(y[j]),
+                  std::bit_cast<std::uint64_t>(scalar[j]))
+            << linalg::isa_name(isa) << " n=" << n << " column " << j;
     }
   }
 }

@@ -144,48 +144,66 @@ Bytes u64_vector_payload(const std::vector<std::uint64_t>& v) {
 // ------------------------------------------------------------ CRC frames
 
 /// A driver frame — [crc][u64 header fields][bytes payload] — decoded the
-/// way the receive path decodes it: crc_check, skip the CRC, read the
-/// envelope, then hand the payload to the receiving party's reader.
+/// way the receive path decodes it: crc_check, open_frame, then the
+/// payload goes to the receiving party's decoder.
 Corpus driver_frame(std::string name, std::vector<std::uint64_t> header,
-                    const Bytes& payload, void (*decode_payload)(Reader&)) {
+                    const Bytes& payload,
+                    void (*decode_payload)(mapreduce::BytesView)) {
   const std::size_t payload_at = 4 + 8 * header.size();
   Corpus corpus;
   corpus.name = std::move(name);
-  corpus.input = mapreduce::crc_frame(
-      8 * header.size() + mapreduce::wire_size_bytes(payload.size()),
-      [&](Writer& w) {
-        for (std::uint64_t field : header) w.put_u64(field);
-        w.put_bytes(payload);
-      });
+  Writer writer;
+  mapreduce::begin_frame(writer, header);
+  std::copy(payload.begin(), payload.end(),
+            writer.extend(payload.size()).begin());
+  corpus.input = writer.take();
+  mapreduce::seal_frame(corpus.input, header.size());
   corpus.length_fields = {payload_at, payload_at + 8};
   corpus.crc_framed = true;
   corpus.decode = [fields = header.size(),
                    decode_payload](std::span<const std::uint8_t> frame) {
     if (!mapreduce::crc_check(frame)) return;
-    Reader reader(frame);
-    reader.get_u32();
-    for (std::size_t f = 0; f < fields; ++f) reader.get_u64();
-    const Bytes bytes = reader.get_bytes();
-    Reader payload_reader(bytes);
-    decode_payload(payload_reader);
+    std::uint64_t fields_read[3];
+    decode_payload(mapreduce::open_frame(
+        frame, std::span<std::uint64_t>(fields_read, fields)));
   };
   return corpus;
 }
 
-TEST(SerdeFuzz, CrcFramesAndDriverEnvelopes) {
-  const auto u64s = [](Reader& r) { r.get_u64_vector(); };
-  fuzz(driver_frame("contribution frame", {3, 7},  // mapper, round
-                    u64_vector_payload(words(64, 1)), u64s),
-       1);
-  fuzz(driver_frame("peer-exchange frame", {1, 2, 7},  // sender, dest, round
-                    u64_vector_payload(words(48, 2)), u64s),
-       2);
+void decode_contribution(mapreduce::BytesView payload) {
+  core::masked_word_bytes(payload);
+}
+
+void decode_peer_mask(mapreduce::BytesView payload) {
+  std::vector<std::uint64_t> out;
+  core::deserialize_masked(payload, out);
+}
+
+void decode_broadcast(mapreduce::BytesView payload) {
+  core::Vector out;
+  core::deserialize_doubles(payload, out);
+}
+
+Bytes broadcast_payload() {
   Writer broadcast;
   broadcast.put_double_vector(std::vector<double>{1.5, -2.0, 0.25});
-  fuzz(driver_frame("broadcast frame", {5, 7},  // dest, round
-                    broadcast.take(),
-                    [](Reader& r) { r.get_double_vector(); }),
-       3);
+  return broadcast.take();
+}
+
+/// The three frames the driver sends, each with its receiver's decoder.
+std::vector<Corpus> frame_corpora() {
+  return {driver_frame("contribution frame", {3, 7},  // mapper, round
+                       u64_vector_payload(words(64, 1)), decode_contribution),
+          driver_frame("peer-exchange frame", {1, 2, 7},  // sender, dest,
+                                                           // round
+                       u64_vector_payload(words(48, 2)), decode_peer_mask),
+          driver_frame("broadcast frame", {5, 7},  // dest, round
+                       broadcast_payload(), decode_broadcast)};
+}
+
+TEST(SerdeFuzz, CrcFramesAndDriverEnvelopes) {
+  std::uint64_t salt = 1;
+  for (const Corpus& corpus : frame_corpora()) fuzz(corpus, salt++);
 }
 
 // ------------------------------------------------------- Reader primitives
@@ -228,7 +246,7 @@ TEST(SerdeFuzz, ReaderPrimitivesAndVectors) {
 
 // ------------------------------------------------ shard and block decoders
 
-TEST(SerdeFuzz, ShardAndBlockDecoders) {
+std::vector<Corpus> shard_corpora() {
   data::Dataset shard;
   shard.name = "fuzz-shard";
   shard.x = linalg::Matrix{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {0, 1, 0}};
@@ -243,10 +261,9 @@ TEST(SerdeFuzz, ShardAndBlockDecoders) {
       .decode = [](std::span<const std::uint8_t> bytes) {
                       core::deserialize_horizontal_shard(bytes);
                     }};
-  ASSERT_EQ(horizontal.input.size(),
+  EXPECT_EQ(horizontal.input.size(),
             horizontal.length_fields.back() +
                 mapreduce::wire_size_words(shard.y.size()));
-  fuzz(horizontal, 5);
 
   Corpus vertical{.name = "vertical block",
                   .input = core::serialize_vertical_block(
@@ -255,7 +272,60 @@ TEST(SerdeFuzz, ShardAndBlockDecoders) {
                   .decode = [](std::span<const std::uint8_t> bytes) {
                     core::deserialize_vertical_block(bytes);
                   }};
-  fuzz(vertical, 6);
+  return {horizontal, vertical};
+}
+
+/// The round payloads on their own, as the mapper and the reducer decode
+/// them out of an opened frame.
+std::vector<Corpus> payload_corpora() {
+  return {Corpus{.name = "broadcast payload",
+                 .input = broadcast_payload(),
+                 .length_fields = {0},
+                 .decode = decode_broadcast},
+          Corpus{.name = "contribution payload",
+                 .input = u64_vector_payload(words(32, 7)),
+                 .length_fields = {0},
+                 .decode = decode_contribution},
+          Corpus{.name = "peer mask payload",
+                 .input = u64_vector_payload(words(24, 8)),
+                 .length_fields = {0},
+                 .decode = decode_peer_mask}};
+}
+
+TEST(SerdeFuzz, ShardAndBlockDecoders) {
+  std::uint64_t salt = 5;
+  for (const Corpus& corpus : shard_corpora()) fuzz(corpus, salt++);
+}
+
+TEST(SerdeFuzz, RoundPayloadDecoders) {
+  std::uint64_t salt = 11;
+  for (const Corpus& corpus : payload_corpora()) fuzz(corpus, salt++);
+}
+
+// Every binary decoder parses its seed input exactly: 1 or 8 bytes after
+// it, whatever their value, throw ppml::Error instead of being ignored.
+// Frames are re-sealed, so the suffix gets past crc_check to open_frame.
+TEST(SerdeFuzz, DecodersRejectTrailingBytes) {
+  std::vector<Corpus> corpora = frame_corpora();
+  for (std::vector<Corpus> more : {shard_corpora(), payload_corpora()})
+    corpora.insert(corpora.end(), more.begin(), more.end());
+  for (const Corpus& corpus : corpora) {
+    ASSERT_NO_THROW(corpus.decode(corpus.input)) << corpus.name;
+    for (const std::size_t extra : {1, 8}) {
+      Bytes input = corpus.input;
+      input.insert(input.end(), extra, 0);
+      if (corpus.crc_framed) {
+        const std::uint32_t crc =
+            mapreduce::crc32(std::span<const std::uint8_t>(input).subspan(4));
+        for (int i = 0; i < 4; ++i)
+          input[static_cast<std::size_t>(i)] =
+              static_cast<std::uint8_t>(crc >> (8 * i));
+        ASSERT_TRUE(mapreduce::crc_check(input)) << corpus.name;
+      }
+      EXPECT_THROW(corpus.decode(input), Error)
+          << corpus.name << " + " << extra << " trailing bytes";
+    }
+  }
 }
 
 // ------------------------------------------------------------ model files
